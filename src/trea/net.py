@@ -7,11 +7,21 @@ weights live as raw integers, every multiply is the truncated shift-and-add
 PoT product at the layer's precision, accumulators are width-checked, and
 activations go through the CORDIC unit before being requantized at the layer
 boundary. Boundary and model-input conversions saturate (hardware
-requantization); `fxp.encode` stays strict.
+requantization); `fxp.encode` stays strict. Non-finite input is rejected.
+
+The quantized accumulate is one shift-plane kernel. Each weight's greedy PoT
+terms, looked up in a per-mode table of all raw codes, are grouped by shift m
+into a signed term matrix C_m, and a layer's accumulators are
+bias + sum_m (x >> m) @ C_m.T: one exact float64 matmul per shift in use, with
+the shift applied per operand and flooring as the hardware truncates.
+Overflow keeps the hardware's per-add semantics: a cheap bound on every
+prefix sum screens the outputs, and only those it cannot clear are replayed
+term by term in hardware order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -193,9 +203,6 @@ class NetworkDescriptor:
             shapes.append(cur)
         return shapes
 
-    def n_outputs(self, idx: int) -> int:
-        return int(np.prod(self.layer_shapes()[idx]))
-
     def copy(self) -> "NetworkDescriptor":
         return NetworkDescriptor(
             name=self.name,
@@ -204,12 +211,6 @@ class NetworkDescriptor:
             seed=self.seed,
             version=self.version,
         )
-
-    def with_layer_precision(self, idx: int, mode: MacMode) -> "NetworkDescriptor":
-        out = self.copy()
-        out.layers[idx].precision = mode
-        out.layers[idx].refresh_mn_scale()
-        return out
 
 
 def _conv_out_hw(h, w, kh, kw, stride, padding):
@@ -401,6 +402,8 @@ def _check_input(model, x):
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} != model input {model.input_shape}"
         )
+    if not np.isfinite(x).all():
+        raise DomainError("input contains NaN or infinity")
     return x, single
 
 
@@ -532,77 +535,149 @@ def _sat_encode_raw(values, fmt: FxPFormat):
     return np.clip(raw, fmt.raw_min, fmt.raw_max).astype(np.int64)
 
 
+@functools.cache
+def _code_table(mode: MacMode):
+    """Greedy MSD terms of every raw code of the mode's format, built once.
+
+    Returns (signs, value). `signs[m, raw - fmt.raw_min]` (F+1 rows, one
+    column per code) is the sign of the code's term with shift m, 0 if it
+    has none: greedy MSD uses each shift at most once, with shifts
+    increasing, so one sign per shift is the whole decomposition. `value` is
+    the sum of the terms. Both arrays are float64, to feed the matmuls, and
+    read-only, because every caller shares them.
+    """
+    fmt = mode.fmt
+    codes = range(fmt.raw_min, fmt.raw_max + 1)
+    signs = np.zeros((fmt.frac_bits + 1, len(codes)))
+    value = np.zeros(len(codes))
+    for i, raw in enumerate(codes):
+        terms, _ = _decompose_raw(raw, fmt.frac_bits, mode.terms)
+        for s, m in terms:
+            signs[m, i] = s
+        value[i] = sum(s * 2.0 ** -m for s, m in terms)
+    signs.flags.writeable = False
+    value.flags.writeable = False
+    return signs, value
+
+
 @dataclass
 class _QuantLayer:
     layer: LayerDescriptor
     w_raw: np.ndarray              # int, encoded normalized weights (masked)
-    terms: dict                    # raw value -> tuple of (sign, shift)
     bias_raw: np.ndarray           # accumulator-scale preload per output
     acc_limit: int                 # overflow bound at the Eq-width
     w_eff: np.ndarray              # PoT-approximated weights * mn_scale
-    k_retained: int
+    planes: tuple                  # (m, C_m) per shift in use; C_m signed (out, K)
+    reach: np.ndarray              # per output: sum of 2**(F-m) over all terms
 
 
 def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     fmt = layer.precision.fmt
     f = fmt.frac_bits
-    t_mode = layer.precision.terms
     wm = layer.masked_weights()
     wn = wm / layer.mn_scale
     top = 1.0 - fmt.lsb
+    if not (np.isfinite(wn).all() and np.isfinite(layer.bias / layer.mn_scale).all()):
+        raise DomainError("weights, bias or mn_scale are not finite")
     if np.abs(wn).max() > top + 1e-12:
         raise DomainError("weights exceed mn normalization; refresh mn_scale")
     w_raw = np.rint(wn * (1 << f)).astype(np.int64)
     if layer.mask is not None:
         w_raw = w_raw * layer.mask.flags
-    terms = {}
-    w_eff = np.zeros_like(wn)
-    for raw in np.unique(w_raw):
-        r = int(raw)
-        if r == 0:
-            terms[0] = ()
-            continue
-        tt, _ = _decompose_raw(r, f, t_mode)
-        terms[r] = tuple(tt)
-        w_eff[w_raw == raw] = sum(s * 2.0 ** -m for s, m in tt)
-    w_eff *= layer.mn_scale
+    signs, value = _code_table(layer.precision)
+    codes = (w_raw - fmt.raw_min).reshape(layer.out_channels, -1)
+    approx = value[codes]
+    present = np.zeros(signs.shape[1], dtype=bool)
+    present[codes] = True
+    shifts = np.flatnonzero(signs[:, present].any(axis=1))
+    planes = tuple((int(m), signs[m][codes]) for m in shifts)
+    reach = np.zeros(layer.out_channels, dtype=np.int64)
+    for m, c in planes:
+        reach += np.abs(c).sum(axis=1).astype(np.int64) << (f - m)
     bias_raw = np.rint(layer.bias / layer.mn_scale * (1 << f)).astype(np.int64)
     k = layer.retained_per_output()
     has_bias = bool(np.any(bias_raw))
     width = accumulator_width(fmt.total_bits, k + (1 if has_bias else 0))
-    return _QuantLayer(layer, w_raw, terms, bias_raw, 1 << (width - 1), w_eff, k)
+    w_eff = (approx * layer.mn_scale).reshape(w_raw.shape)
+    return _QuantLayer(layer, w_raw, bias_raw, 1 << (width - 1), w_eff, planes, reach)
 
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
     """Shift-and-add dot products for all outputs: x_raw_mat is (..., K)
     activations at the layer's format; returns int accumulators (..., out).
-    Every addition is checked against the accumulator width."""
-    layer = q.layer
-    out_n = layer.out_channels
-    wmat = q.w_raw.reshape(out_n, -1)
-    retained = (
-        layer.mask.flags.reshape(out_n, -1)
-        if layer.mask is not None
-        else np.ones_like(wmat, dtype=bool)
-    )
-    acc = np.zeros(x_raw_mat.shape[:-1] + (out_n,), dtype=np.int64)
+
+    Shift-plane form: grouping every weight's PoT terms by shift m gives the
+    signed term matrices C_m, and the accumulator is
+    bias + sum_m (x >> m) @ C_m.T. The shift is per operand with floor
+    semantics, so each partial product is truncated before it is added, as
+    the DQ-MAC does. The matmuls run in float64 and are exact: every entry of
+    `x >> m` is an integer and every C_m entry is in {-1, 0, 1}, so every
+    partial sum, in any summation order and across the at most T planes a
+    weight touches, is an integer of magnitude at most T * K * max|x|; for
+    N-bit operands that is T * K * 2**(N-1), far under 2**53. The bias is
+    added in int64.
+
+    The hardware checks the accumulator width after every add, so
+    `AccumulatorOverflow` is raised exactly when some prefix of the
+    bias-then-operand-then-term order leaves the range; see
+    `_check_overflow`.
+    """
+    x = x_raw_mat.reshape(-1, x_raw_mat.shape[-1])
+    _check_overflow(q, x)
+    total = np.zeros((x.shape[0], q.layer.out_channels))
+    for m, c in q.planes:
+        total += (x >> m).astype(np.float64) @ c.T
+    acc = total.astype(np.int64) + q.bias_raw
+    return acc.reshape(x_raw_mat.shape[:-1] + (q.layer.out_channels,))
+
+
+def _check_overflow(q: _QuantLayer, x):
+    """Raise `AccumulatorOverflow` if any prefix sum of any output leaves
+    [-acc_limit, acc_limit - 1] when the accumulator takes the bias, then each
+    operand j in order, then its terms in MSD order.
+
+    |bias| + sum_m |x >> m| @ |C_m|.T bounds every prefix of a (row, output),
+    so only pairs whose bound fails can overflow. A coarser bound screens the
+    outputs first: with every |x| <= s * 2**F, each |x >> m| <= s * 2**(F-m),
+    so a prefix stays within |bias| + s * reach. The exact bound is computed
+    per row only for the outputs that fail it, and the exact prefix order is
+    replayed only on the rows that fail both. For operands and a bias inside
+    the N-bit range (s = 1) the screen never fails: each greedy term carries
+    the weight's sign and the terms' shifted magnitudes sum to at most
+    |w| < 1, so an operand adds less than 2**(N-1) = 2**F.
+    """
+    if not x.size:
+        return
+    lim = q.acc_limit
+    f = q.layer.precision.fmt.frac_bits
+    s = -(-max(int(x.max()), -int(x.min())) >> f)      # ceil(max |x| / 2**F)
+    suspect = np.flatnonzero(np.abs(q.bias_raw) + s * q.reach > lim - 1)
+    if not suspect.size:
+        return
+    row_bound = np.abs(q.bias_raw[suspect]).astype(np.float64)
+    for m, c in q.planes:
+        row_bound = row_bound + np.abs(x >> m) @ np.abs(c[suspect]).T
+    signs, _ = _code_table(q.layer.precision)
+    raw_min = q.layer.precision.fmt.raw_min
+    wmat = q.w_raw.reshape(q.layer.out_channels, -1)
 
     def check(a, o, j):
-        if a.size and (int(a.max()) > q.acc_limit - 1 or int(a.min()) < -q.acc_limit):
+        if int(a.max()) > lim - 1 or int(a.min()) < -lim:
             raise AccumulatorOverflow(
-                f"accumulator left [{-q.acc_limit}, {q.acc_limit - 1}] "
-                f"(output {o}, operand {j})"
+                f"accumulator left [{-lim}, {lim - 1}] (output {o}, operand {j})"
             )
 
-    for o in range(out_n):
-        a = np.full(x_raw_mat.shape[:-1], int(q.bias_raw[o]), dtype=np.int64)
+    for i, o in enumerate(suspect):
+        rows = x[row_bound[:, i] > lim - 1]
+        if not len(rows):
+            continue
+        a = np.full(len(rows), q.bias_raw[o], dtype=np.int64)
         check(a, o, "bias")
-        for j in np.nonzero(retained[o])[0]:
-            for sign, m in q.terms[int(wmat[o, j])]:
-                a += sign * (x_raw_mat[..., j] >> m)
+        for j in np.flatnonzero(wmat[o]):
+            code = signs[:, wmat[o, j] - raw_min]
+            for m in np.flatnonzero(code):
+                a += int(code[m]) * (rows[:, j] >> m)
                 check(a, o, j)
-        acc[..., o] = a
-    return acc
 
 
 def _boundary_raw(sel: AfSelect, pre_true, boundary_fmt: FxPFormat):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_topology
-from trea import net, sharp
+from trea import net, sched, sharp
 from trea.errors import DivergenceError, DomainError, FormatError, ShapeMismatch
 from trea.fxp import FXP8, error_bound, FxPValue
 from trea.mac import MacMode
@@ -184,6 +184,22 @@ class TestForwardQuant:
         model = _dense_model(w, np.zeros(1), activation=AfSelect.RELU)
         got = net.forward_quant(model, np.full((1, 1, 4), 0.9))
         assert got[0] == FXP8.max_value
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("forward", [
+        net.forward_quant,
+        net.forward_float,
+        lambda model, x: sched.simulate(model, x, sched.ArrayConfig()),
+    ], ids=["forward_quant", "forward_float", "simulate"])
+    def test_rejected_as_domain_error(self, desk_model, desk_data, forward, bad):
+        # once cast to int64, NaN became a garbage code and surfaced as a
+        # misleading AccumulatorOverflow
+        x = desk_data.test_x[0].copy()
+        x[0, 3, 4] = bad
+        with pytest.raises(DomainError, match="NaN or infinity"):
+            forward(desk_model, x)
 
 
 class TestTrainReference:
