@@ -636,27 +636,25 @@ def _check_overflow(q: _QuantLayer, x):
     [-acc_limit, acc_limit - 1] when the accumulator takes the bias, then each
     operand j in order, then its terms in MSD order.
 
-    |bias| + sum_m |x >> m| @ |C_m|.T bounds every prefix of a (row, output),
-    so only pairs whose bound fails can overflow. A coarser bound screens the
-    outputs first: with every |x| <= s * 2**F, each |x >> m| <= s * 2**(F-m),
-    so a prefix stays within |bias| + s * reach. The exact bound is computed
-    per row only for the outputs that fail it, and the exact prefix order is
-    replayed only on the rows that fail both. For operands and a bias inside
-    the N-bit range (s = 1) the screen never fails: each greedy term carries
-    the weight's sign and the terms' shifted magnitudes sum to at most
-    |w| < 1, so an operand adds less than 2**(N-1) = 2**F.
+    A cheap bound screens the outputs: with every |x| <= s * 2**F, each
+    |x >> m| <= s * 2**(F-m), so every prefix of an output stays within
+    |bias| + s * reach. The bound is taken in float64 so that a bias code
+    near or past the int64 range still reads as huge; the integers it adds
+    are exact well past any accumulator limit. Only the outputs it cannot
+    clear are replayed, on every row, in the exact prefix order. For operands
+    and a bias inside the N-bit range (s = 1) the screen never fails: each
+    greedy term carries the weight's sign and the terms' shifted magnitudes
+    sum to at most |w| < 1, so an operand adds less than 2**(N-1) = 2**F.
     """
     if not x.size:
         return
     lim = q.acc_limit
     f = q.layer.precision.fmt.frac_bits
     s = -(-max(int(x.max()), -int(x.min())) >> f)      # ceil(max |x| / 2**F)
-    suspect = np.flatnonzero(np.abs(q.bias_raw) + s * q.reach > lim - 1)
+    bound = np.abs(q.bias_raw.astype(np.float64)) + float(s) * q.reach
+    suspect = np.flatnonzero(bound > lim - 1)
     if not suspect.size:
         return
-    row_bound = np.abs(q.bias_raw[suspect]).astype(np.float64)
-    for m, c in q.planes:
-        row_bound = row_bound + np.abs(x >> m) @ np.abs(c[suspect]).T
     signs, _ = _code_table(q.layer.precision)
     raw_min = q.layer.precision.fmt.raw_min
     wmat = q.w_raw.reshape(q.layer.out_channels, -1)
@@ -667,16 +665,13 @@ def _check_overflow(q: _QuantLayer, x):
                 f"accumulator left [{-lim}, {lim - 1}] (output {o}, operand {j})"
             )
 
-    for i, o in enumerate(suspect):
-        rows = x[row_bound[:, i] > lim - 1]
-        if not len(rows):
-            continue
-        a = np.full(len(rows), q.bias_raw[o], dtype=np.int64)
+    for o in suspect:
+        a = np.full(len(x), q.bias_raw[o], dtype=np.int64)
         check(a, o, "bias")
         for j in np.flatnonzero(wmat[o]):
             code = signs[:, wmat[o, j] - raw_min]
             for m in np.flatnonzero(code):
-                a += int(code[m]) * (rows[:, j] >> m)
+                a += int(code[m]) * (x[:, j] >> m)
                 check(a, o, j)
 
 

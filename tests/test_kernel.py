@@ -126,6 +126,29 @@ def test_inflated_biases_reach_every_outcome():
     assert outcomes == {None, True, False}
 
 
+@pytest.mark.parametrize("zero_weights", [False, True], ids=["weights", "zero_weights"])
+@pytest.mark.parametrize("bias_code", [2.0 ** 40, -(2.0 ** 62.9), 2.0 ** 62.9, 1e30, -1e30])
+def test_bias_far_outside_the_accumulator_overflows_at_the_preload(bias_code, zero_weights):
+    # the preload fails first, whether or not any weight has a PoT term and
+    # whether or not the bias code fits int64
+    rng = np.random.default_rng(5)
+    model, _ = random_topology(rng)
+    layer = model.layers[-1]
+    if zero_weights:
+        layer.weights = np.zeros_like(layer.weights)
+        layer.refresh_mn_scale()
+    bias = layer.bias.copy()
+    bias[1] = bias_code * layer.mn_scale / (1 << layer.precision.fmt.frac_bits)
+    layer.bias = bias
+    with np.errstate(invalid="ignore"):
+        q = net._prepare_layer(layer)
+    if zero_weights:
+        assert not q.planes
+    x = _layer_operands(rng, layer, 3)
+    with pytest.raises(AccumulatorOverflow, match=r"\(output 1, operand bias\)"):
+        net._accumulate(q, x)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_forward_rows_equal_single_calls(seed):
     rng = np.random.default_rng(2000 + seed)
