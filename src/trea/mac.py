@@ -17,12 +17,11 @@ from .fxp import FXP4, FXP8, FxPFormat, FxPValue, PoTTerm, msd_decompose, trunc_
 __all__ = [
     "MacMode",
     "Accumulator",
-    "PipelineConfig",
     "accumulator_width",
     "conventional_accumulator_width",
+    "kernel_cycles",
     "mac_step",
     "dot_product",
-    "pipeline_latency",
 ]
 
 
@@ -66,6 +65,13 @@ def conventional_accumulator_width(n_bits: int, k: int) -> int:
     if n_bits < 2:
         raise DomainError(f"operand width must be >= 2, got {n_bits}")
     return 2 * n_bits + _ceil_log2(k)
+
+
+def kernel_cycles(k_retained: int, mode: MacMode) -> int:
+    """Execution cycles for one kernel window: ceil(retained / lanes)."""
+    if k_retained < 1:
+        raise DomainError(f"operand count must be >= 1, got {k_retained}")
+    return -(-k_retained // mode.lanes)
 
 
 @dataclass(frozen=True)
@@ -132,32 +138,4 @@ def dot_product(
     for x, w in zip(xs, ws):
         for term in msd_decompose(w, mode.terms).terms:
             acc = mac_step(x, term, acc)
-    cycles = -(-k // mode.lanes)
-    return FxPValue(acc.raw, FxPFormat(width, fmt.frac_bits)), cycles
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Execution model of one unit: iterative reuse or a P-stage pipeline."""
-
-    stages: int = 5
-    mode: str = "pipelined"
-
-    def __post_init__(self):
-        if self.stages < 1:
-            raise ValueError(f"stages must be >= 1, got {self.stages}")
-        if self.mode not in ("iterative", "pipelined"):
-            raise ValueError(f"unknown execution mode {self.mode!r}")
-
-
-def pipeline_latency(t: int, cfg: PipelineConfig) -> tuple[int, int]:
-    """(fill_cycles, issue_interval) for a T-term operation.
-
-    Iterative hardware reuses one stage for T cycles; pipelined hardware
-    fills min(T, P) stages then issues one result per cycle.
-    """
-    if t < 1:
-        raise DomainError(f"iteration count must be >= 1, got {t}")
-    if cfg.mode == "iterative":
-        return t, t
-    return min(t, cfg.stages), 1
+    return FxPValue(acc.raw, FxPFormat(width, fmt.frac_bits)), kernel_cycles(k, mode)

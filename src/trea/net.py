@@ -40,9 +40,9 @@ from .errors import (
 from .fxp import FXP8, FxPFormat, _decompose_raw, mn_normalize
 from .mac import MacMode, accumulator_width
 from .naf import AfSelect
-from .sharp import SparsityMask
 
 __all__ = [
+    "SparsityMask",
     "LayerDescriptor",
     "NetworkDescriptor",
     "Dataset",
@@ -69,6 +69,24 @@ MODEL_VERSION = 1
 
 # --------------------------------------------------------------------------
 # descriptors
+
+
+@dataclass(frozen=True)
+class SparsityMask:
+    """Boolean retention flags plus the exact per-window retained count
+    (built by `trea.sharp`'s pruning and by `load_model`)."""
+
+    flags: np.ndarray
+    retained_per_window: int
+
+    def __post_init__(self):
+        flags = np.ascontiguousarray(self.flags, dtype=bool)
+        flags.setflags(write=False)  # masks are frozen once built
+        object.__setattr__(self, "flags", flags)
+
+    @property
+    def total_retained(self) -> int:
+        return int(self.flags.sum())
 
 
 @dataclass
@@ -103,6 +121,9 @@ class LayerDescriptor:
             raise ShapeMismatch("stride must be >= 1")
         if self.mask is not None and self.mask.flags.shape != self.weights.shape:
             raise ShapeMismatch("mask shape must match weight shape")
+        if not (math.isfinite(self.mn_scale) and np.isfinite(self.weights).all()
+                and np.isfinite(self.bias).all()):
+            raise DomainError("weights, bias and mn_scale must be finite")
         if self.mn_scale <= 0:
             raise ShapeMismatch("mn_scale must be positive")
 
@@ -847,10 +868,25 @@ def save_model(model: NetworkDescriptor, path):
         fh.write(bytes(blob))
 
 
-def _manifest_field(entry, key, where):
+def _manifest_field(entry, key, where, convert=None):
+    """`entry[key]`, passed through `convert` if given; a missing field or a
+    value `convert` rejects is a `FormatError` naming the field."""
     if key not in entry:
         raise FormatError(f"missing field {where}.{key}")
-    return entry[key]
+    if convert is None:
+        return entry[key]
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad field {where}.{key} = {entry[key]!r}: {exc}") from exc
+
+
+def _blob_array(blob, entry, key, where, dtype, count):
+    """`count` items of `dtype` read from the blob at the entry's offset."""
+    off = _manifest_field(entry, key, where)
+    if type(off) is not int or off < 0 or off + count * np.dtype(dtype).itemsize > len(blob):
+        raise FormatError(f"{where}.{key} = {off!r} is outside the {len(blob)}-byte blob")
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=off)
 
 
 def load_model(path) -> NetworkDescriptor:
@@ -870,35 +906,38 @@ def load_model(path) -> NetworkDescriptor:
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")
     blob = data[mstart + mlen:]
+    entries = _manifest_field(manifest, "layers", "manifest")
+    if not isinstance(entries, list):
+        raise FormatError("manifest.layers is not a list")
     layers = []
-    for i, entry in enumerate(_manifest_field(manifest, "layers", "manifest")):
+    for i, entry in enumerate(entries):
         where = f"layers[{i}]"
-        shape = tuple(_manifest_field(entry, "weight_shape", where))
-        wn = int(np.prod(shape))
-        woff = _manifest_field(entry, "weight_offset", where)
-        boff = _manifest_field(entry, "bias_offset", where)
-        if boff + shape[0] * 8 > len(blob):
-            raise FormatError(f"truncated blob reading {where}")
-        weights = np.frombuffer(blob, dtype="<f8", count=wn, offset=woff).reshape(shape)
-        bias = np.frombuffer(blob, dtype="<f8", count=shape[0], offset=boff)
+        if not isinstance(entry, dict):
+            raise FormatError(f"{where} is not an object")
+        shape = _manifest_field(entry, "weight_shape", where)
+        if not (isinstance(shape, list) and shape
+                and all(type(d) is int and d >= 1 for d in shape)):
+            raise FormatError(f"{where}.weight_shape = {shape!r} is not a list of positive ints")
+        wn = math.prod(shape)
+        weights = _blob_array(blob, entry, "weight_offset", where, "<f8", wn).reshape(shape)
+        bias = _blob_array(blob, entry, "bias_offset", where, "<f8", shape[0])
         mask = None
-        moff = entry.get("mask_offset")
-        if moff is not None:
-            nbytes = -(-wn // 8)
-            if moff + nbytes > len(blob):
-                raise FormatError(f"truncated blob reading {where}.mask")
+        if entry.get("mask_offset") is not None:
+            retained = entry.get("retained_per_window")
+            if type(retained) is not int:
+                raise FormatError(f"{where} has a mask but retained_per_window = {retained!r}")
             bits = np.unpackbits(
-                np.frombuffer(blob, dtype=np.uint8, count=nbytes, offset=moff)
+                _blob_array(blob, entry, "mask_offset", where, np.uint8, -(-wn // 8))
             )[:wn]
-            mask = SparsityMask(bits.astype(bool).reshape(shape),
-                                int(entry["retained_per_window"]))
+            mask = SparsityMask(bits.astype(bool).reshape(shape), retained)
         layers.append(LayerDescriptor(
             kind=_manifest_field(entry, "kind", where),
-            activation=AfSelect.from_code(int(_manifest_field(entry, "activation", where))),
-            precision=MacMode(_manifest_field(entry, "precision", where)),
+            activation=_manifest_field(entry, "activation", where,
+                                       lambda v: AfSelect.from_code(int(v))),
+            precision=_manifest_field(entry, "precision", where, MacMode),
             weights=weights.copy(),
             bias=bias.copy(),
-            mn_scale=float(_manifest_field(entry, "mn_scale", where)),
+            mn_scale=_manifest_field(entry, "mn_scale", where, float),
             mask=mask,
             stride=int(entry.get("stride", 1)),
             padding=entry.get("padding", "valid"),

@@ -3,9 +3,8 @@ shared activation unit.
 
 Output neurons are tiled onto the array (one unit per output); tiles run
 sequentially with tile completion chaining, and the layer's activations
-stream through the shared CORDIC unit once per layer (default) or overlapped
-per tile (config flag). Scheduling never touches numerics: simulate() scores
-are the forward_quant scores.
+stream through the shared CORDIC unit once per layer. Scheduling never
+touches numerics: simulate() scores are the forward_quant scores.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from enum import Enum
 
 from . import net as _net
 from .errors import DomainError
+from .mac import kernel_cycles
 from .naf import piso_latency
-from .sharp import kernel_cycles
 
 __all__ = [
     "ArrayConfig",
@@ -36,20 +35,13 @@ __all__ = [
 @dataclass(frozen=True)
 class ArrayConfig:
     mac_units: int = 100
-    naf_instances: int = 1
     f_clk: float = 100e6
-    naf_overlap: bool = False   # activation of tile t may overlap MACs of t+1
-    tile_load_cycles: int = 0   # optional per-tile weight/bias load cost
 
     def __post_init__(self):
         if self.mac_units < 1:
             raise DomainError("mac_units must be >= 1")
-        if self.naf_instances < 1:
-            raise DomainError("naf_instances must be >= 1")
         if self.f_clk <= 0:
             raise DomainError("f_clk must be positive")
-        if self.tile_load_cycles < 0:
-            raise DomainError("tile_load_cycles must be nonnegative")
 
 
 class EventKind(Enum):
@@ -128,7 +120,7 @@ def plan_layer(layer, cfg: ArrayConfig, n_outputs: int,
     """Partition a layer's outputs into tiles of at most mac_units.
 
     Each unit computes one output's dot product; bias preload is free, so a
-    tile costs the per-output MAC cycles (plus any configured load cost).
+    tile costs the per-output MAC cycles.
     """
     if n_outputs < 1:
         raise DomainError(f"layer {layer_index} has no outputs")
@@ -141,7 +133,7 @@ def plan_layer(layer, cfg: ArrayConfig, n_outputs: int,
     return TileSchedule(
         layer_index=layer_index,
         tile_sizes=tuple(sizes),
-        mac_cycles_per_tile=_per_output_mac_cycles(layer) + cfg.tile_load_cycles,
+        mac_cycles_per_tile=_per_output_mac_cycles(layer),
         n_outputs=n_outputs,
     )
 
@@ -163,21 +155,11 @@ def _network_timing(model, cfg: ArrayConfig):
     cycle = 0
     plans = plan_network(model, cfg)
     for plan in plans:
-        if cfg.naf_overlap:
-            mac_end = cycle
-            naf_end = cycle
-            for tile, size in enumerate(plan.tile_sizes):
-                mac_end += plan.mac_cycles_per_tile
-                events.append(TraceEvent(mac_end, EventKind.COMPUTE_DONE,
-                                         plan.layer_index, tile))
-                naf_end = max(mac_end, naf_end) + piso_latency(size)
-            cycle = naf_end
-        else:
-            for tile, size in enumerate(plan.tile_sizes):
-                cycle += plan.mac_cycles_per_tile
-                events.append(TraceEvent(cycle, EventKind.COMPUTE_DONE,
-                                         plan.layer_index, tile))
-            cycle += piso_latency(plan.n_outputs)
+        for tile in range(len(plan.tile_sizes)):
+            cycle += plan.mac_cycles_per_tile
+            events.append(TraceEvent(cycle, EventKind.COMPUTE_DONE,
+                                     plan.layer_index, tile))
+        cycle += piso_latency(plan.n_outputs)
         events.append(TraceEvent(cycle, EventKind.LAYER_DONE, plan.layer_index,
                                  len(plan.tile_sizes) - 1))
     events.append(TraceEvent(cycle, EventKind.DNN_DONE, len(model.layers) - 1,

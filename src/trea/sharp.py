@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import net as _net
 from .errors import DomainError, KernelTooSmall
-from .mac import MacMode
+from .mac import MacMode, kernel_cycles
+from .net import SparsityMask
 
 __all__ = [
     "SparsityMask",
@@ -27,25 +29,6 @@ __all__ = [
     "fine_tune",
     "kernel_cycles",
 ]
-
-SIMD_LANES = 4
-
-
-@dataclass(frozen=True)
-class SparsityMask:
-    """Boolean retention flags plus the exact per-window retained count."""
-
-    flags: np.ndarray
-    retained_per_window: int
-
-    def __post_init__(self):
-        flags = np.ascontiguousarray(self.flags, dtype=bool)
-        flags.setflags(write=False)  # masks are frozen once built
-        object.__setattr__(self, "flags", flags)
-
-    @property
-    def total_retained(self) -> int:
-        return int(self.flags.sum())
 
 
 @dataclass(frozen=True)
@@ -112,21 +95,15 @@ def assign_precision(model, evaluate, epsilon: float) -> PrecisionAssignment:
     are visited exactly once, so the result is deterministic for a
     deterministic evaluate function.
     """
-    current = model.copy()
-    for i in range(len(current.layers)):
-        current.layers[i].precision = MacMode.FXP8
-        current.layers[i].refresh_mn_scale()
-    acc_running = evaluate(current)
-    for i in range(len(current.layers)):
-        trial = current.copy()
-        trial.layers[i].precision = MacMode.FXP4_SIMD
-        trial.layers[i].refresh_mn_scale()
-        acc_trial = evaluate(trial)
+    modes = (MacMode.FXP8,) * len(model.layers)
+    acc_running = evaluate(apply_assignment(model, PrecisionAssignment(modes, epsilon)))
+    for i in range(len(modes)):
+        trial = modes[:i] + (MacMode.FXP4_SIMD,) + modes[i + 1:]
+        acc_trial = evaluate(apply_assignment(model, PrecisionAssignment(trial, epsilon)))
         if acc_running - acc_trial > epsilon:
             continue  # revert: keep 8-bit
-        current = trial
-        acc_running = acc_trial
-    return PrecisionAssignment(tuple(l.precision for l in current.layers), epsilon)
+        modes, acc_running = trial, acc_trial
+    return PrecisionAssignment(modes, epsilon)
 
 
 def apply_assignment(model, assignment: PrecisionAssignment):
@@ -149,8 +126,6 @@ def fine_tune(model, masks, assignment, dataset, epochs: int, lr: float, seed: i
     update only retained weights, so the mask and the assignment survive
     unchanged. epochs=0 returns the prepared model untouched.
     """
-    from . import net as _net  # deferred: net depends on this module's types
-
     work = apply_assignment(model, assignment)
     if len(masks) != len(work.layers):
         raise DomainError(f"{len(masks)} masks for {len(work.layers)} layers")
@@ -164,9 +139,3 @@ def fine_tune(model, masks, assignment, dataset, epochs: int, lr: float, seed: i
         _net.qat_finetune(work, dataset, epochs=epochs, lr=lr, seed=seed)
     return work
 
-
-def kernel_cycles(k_retained: int, mode: MacMode) -> int:
-    """Execution cycles for one kernel window: ceil(retained / lanes)."""
-    if k_retained < 1:
-        raise DomainError(f"operand count must be >= 1, got {k_retained}")
-    return -(-k_retained // mode.lanes)

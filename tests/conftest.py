@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,15 @@ def random_topology(rng: np.random.Generator):
         layer.refresh_mn_scale()
     x = rng.uniform(-0.9, 0.9, size=(in_ch, size, size))
     return model, x
+
+
+def rewrite_manifest(path, edit):
+    """Apply `edit` to the JSON manifest of a saved model file in place,
+    keeping the magic and the weight blob."""
+    data = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", data, 8)
+    manifest = json.loads(data[12:12 + mlen])
+    edit(manifest)
+    payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(data[:8] + struct.pack("<I", len(payload)) + payload
+                     + data[12 + mlen:])

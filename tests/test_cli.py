@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import rewrite_manifest
 from trea import cli, net
 from trea.fxp import FXP4, FxPValue
 from trea.mac import MacMode
@@ -163,6 +164,14 @@ class TestErrors:
         bad.write_text(json.dumps({"seed": 1}))
         assert _run(["train", "--data", str(bad), "--out",
                      str(tmp_path / "m.tmdl"), "--seed", "1"]) == 3
+
+    def test_malformed_model_file_format_error(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.tmdl"
+        bad.write_bytes(pipeline["tuned"].read_bytes())
+        rewrite_manifest(bad, lambda m: m["layers"][0].update(weight_offset=10**9))
+        assert _run(["simulate", "--model", str(bad),
+                     "--data", str(pipeline["data"])]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
 
     def test_sample_index_out_of_range(self, pipeline):
         assert _run(["simulate", "--model", str(pipeline["tuned"]), "--data",

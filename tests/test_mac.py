@@ -8,12 +8,10 @@ from trea.fxp import FXP4, FXP8, FxPValue, decode, encode, error_bound, msd_deco
 from trea.mac import (
     Accumulator,
     MacMode,
-    PipelineConfig,
     accumulator_width,
     conventional_accumulator_width,
     dot_product,
     mac_step,
-    pipeline_latency,
 )
 
 
@@ -162,22 +160,3 @@ class TestDotProduct:
         ]
         assert 4 * max(products) <= 31 and 4 * min(products) >= -32
 
-
-class TestPipeline:
-    def test_iterative(self):
-        assert pipeline_latency(5, PipelineConfig(mode="iterative")) == (5, 5)
-
-    def test_pipelined(self):
-        assert pipeline_latency(5, PipelineConfig(stages=5)) == (5, 1)
-
-    def test_t1(self):
-        assert pipeline_latency(1, PipelineConfig(mode="iterative")) == (1, 1)
-        assert pipeline_latency(1, PipelineConfig(stages=5)) == (1, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(stages=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(mode="warp")
-        with pytest.raises(DomainError):
-            pipeline_latency(0, PipelineConfig())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_topology
+from conftest import random_topology, rewrite_manifest
 from trea import net, sched, sharp
 from trea.errors import DivergenceError, DomainError, FormatError, ShapeMismatch
 from trea.fxp import FXP8, error_bound, FxPValue
@@ -263,35 +263,49 @@ class TestSerialization:
             net.load_model(p)
 
     def test_unknown_version_named(self, desk_model, tmp_path):
-        import json
-        import struct
-
         p = tmp_path / "m.tmdl"
         net.save_model(desk_model, p)
-        blob = p.read_bytes()
-        mlen = struct.unpack_from("<I", blob, 8)[0]
-        manifest = json.loads(blob[12:12 + mlen])
-        manifest["version"] = 42
-        payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        p.write_bytes(blob[:8] + struct.pack("<I", len(payload)) + payload
-                      + blob[12 + mlen:])
+        rewrite_manifest(p, lambda m: m.update(version=42))
         with pytest.raises(FormatError, match="42"):
             net.load_model(p)
 
     def test_missing_field_path_named(self, desk_model, tmp_path):
-        import json
-        import struct
-
         p = tmp_path / "m.tmdl"
         net.save_model(desk_model, p)
-        blob = p.read_bytes()
-        mlen = struct.unpack_from("<I", blob, 8)[0]
-        manifest = json.loads(blob[12:12 + mlen])
-        del manifest["layers"][0]["mn_scale"]
-        payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        p.write_bytes(blob[:8] + struct.pack("<I", len(payload)) + payload
-                      + blob[12 + mlen:])
+        rewrite_manifest(p, lambda m: m["layers"][0].pop("mn_scale"))
         with pytest.raises(FormatError, match=r"layers\[0\].mn_scale"):
+            net.load_model(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("weight_offset", 10**9),
+        ("weight_offset", -8),
+        ("bias_offset", 10**9),
+        ("bias_offset", -8),
+        ("mask_offset", 10**9),
+        ("mask_offset", -8),
+        ("weight_shape", "abc"),
+        ("weight_shape", 5),
+        ("precision", "fxp16"),
+        ("retained_per_window", None),
+        ("layers", 5),
+    ])
+    def test_malformed_manifest_is_format_error(self, desk_model, tmp_path, key, value):
+        p = tmp_path / "m.tmdl"
+        net.save_model(sharp.prune_model(desk_model), p)   # layer 0 has a mask
+
+        def edit(manifest):
+            target = manifest if key == "layers" else manifest["layers"][0]
+            target[key] = value
+
+        rewrite_manifest(p, edit)
+        with pytest.raises(FormatError):
+            net.load_model(p)
+
+    def test_non_finite_mn_scale_rejected_on_load(self, desk_model, tmp_path):
+        p = tmp_path / "m.tmdl"
+        net.save_model(desk_model, p)
+        rewrite_manifest(p, lambda m: m["layers"][0].update(mn_scale=float("nan")))
+        with pytest.raises(DomainError, match="finite"):
             net.load_model(p)
 
 
@@ -322,6 +336,18 @@ class TestDescriptors:
     def test_empty_network_rejected(self):
         with pytest.raises(ShapeMismatch):
             net.NetworkDescriptor("empty", (1, 4, 4), [])
+
+    @pytest.mark.parametrize("field, bad", [
+        ("weights", np.full((2, 5), np.nan)),
+        ("bias", np.array([0.0, np.inf])),
+        ("mn_scale", np.nan),
+        ("mn_scale", np.inf),
+    ])
+    def test_non_finite_rejected_at_construction(self, field, bad):
+        args = dict(weights=np.zeros((2, 5)), bias=np.zeros(2))
+        args[field] = bad
+        with pytest.raises(DomainError, match="finite"):
+            net.LayerDescriptor("dense", AfSelect.TANH, MacMode.FXP8, **args)
 
     def test_conv_after_dense_rejected(self):
         dense = net.LayerDescriptor("dense", AfSelect.TANH, MacMode.FXP8,

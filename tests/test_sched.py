@@ -77,9 +77,7 @@ class TestSimulate:
         assert trace.cpfi == max(e.cycle for e in trace.events)
 
     def test_analytic_matches_trace(self, desk_model, desk_data):
-        for cfg in (ArrayConfig(), ArrayConfig(mac_units=13),
-                    ArrayConfig(naf_overlap=True),
-                    ArrayConfig(tile_load_cycles=2)):
+        for cfg in (ArrayConfig(), ArrayConfig(mac_units=13)):
             _, trace = simulate(desk_model, desk_data.test_x[0], cfg)
             assert cpfi_analytic(desk_model, cfg) == trace.cpfi
 
@@ -87,8 +85,7 @@ class TestSimulate:
         rng = np.random.default_rng(17)
         for _ in range(25):
             model, x = random_topology(rng)
-            cfg = ArrayConfig(mac_units=int(rng.integers(1, 150)),
-                              naf_overlap=bool(rng.random() < 0.5))
+            cfg = ArrayConfig(mac_units=int(rng.integers(1, 150)))
             scores, trace = simulate(model, x, cfg)
             trace.validate()
             assert cpfi_analytic(model, cfg) == trace.cpfi
@@ -158,7 +155,3 @@ def test_config_validation():
         ArrayConfig(mac_units=0)
     with pytest.raises(DomainError):
         ArrayConfig(f_clk=0)
-    with pytest.raises(DomainError):
-        ArrayConfig(naf_instances=0)
-    with pytest.raises(DomainError):
-        ArrayConfig(tile_load_cycles=-1)

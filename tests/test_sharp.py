@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trea import net, sharp
+from trea import mac, net, sharp
 from trea.errors import DomainError, KernelTooSmall
 from trea.mac import MacMode
 from trea.sharp import (
@@ -96,6 +96,12 @@ class TestKernelCycles:
     def test_domain(self):
         with pytest.raises(DomainError):
             kernel_cycles(0, MacMode.FXP8)
+
+
+def test_reexports_are_the_owning_modules_objects():
+    # the cycle law is owned by mac and the mask type by net; sharp re-exports both
+    assert sharp.kernel_cycles is mac.kernel_cycles
+    assert sharp.SparsityMask is net.SparsityMask
 
 
 class TestAssignPrecision:
