@@ -11,6 +11,10 @@ CORDIC convergence range are reduced by repeated argument halving and
 rebuilt with the double-angle identity; inputs past the saturation point of
 the output format are pinned at the largest representable value below one.
 
+The stage count is fixed at PIPELINE_STAGES, so the rotation schedule, the
+atanh table, the convergence bound and the gain-compensation terms are
+constants built once at import; no caller picks another depth.
+
 Everything here is pure; the pipeline itself is a timing model
 (piso_latency), not a stateful object. Array-valued helpers (suffix
 ``_vec``) run the identical integer arithmetic elementwise so batched
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import math
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,49 +80,46 @@ def _iteration_schedule(n: int) -> tuple[int, ...]:
     return tuple(out[:n])
 
 
-@lru_cache(maxsize=None)
-def _tables(iterations: int):
-    """(schedule, atanh table, convergence bound, gain-compensation terms),
-    all at the internal scale."""
-    if iterations < 1:
-        raise DomainError(f"iterations must be >= 1, got {iterations}")
-    sched = _iteration_schedule(iterations)
-    atanh = tuple(round(math.atanh(2.0 ** -i) * _ONE) for i in sched)
-    zmax = sum(atanh)
+def _gain_comp_terms(sched) -> tuple[tuple[int, int], ...]:
+    """PoT terms of the gain-compensation constant c = 1/gain - 1 < 1,
+    applied as v + sum(s * (v >> m))."""
     gain = 1.0
     for i in sched:
         gain *= math.sqrt(1.0 - 4.0 ** (-i))
-    # compensation constant c = 1/gain - 1 < 1, applied as v + sum(s*(v>>m))
     comp = FxPValue(round((1.0 / gain - 1.0) * _ONE), FxPFormat(18, INTERNAL_FRAC_BITS))
-    comp_terms = tuple(
+    return tuple(
         (t.sign, t.shift) for t in msd_decompose(comp, INTERNAL_FRAC_BITS).terms
     )
-    return sched, atanh, zmax, comp_terms
 
 
-def convergence_bound(iterations: int = PIPELINE_STAGES) -> float:
+_SCHEDULE = _iteration_schedule(PIPELINE_STAGES)
+_ATANH = tuple(round(math.atanh(2.0 ** -i) * _ONE) for i in _SCHEDULE)
+_ZMAX = sum(_ATANH)
+_COMP_TERMS = _gain_comp_terms(_SCHEDULE)
+
+
+def convergence_bound() -> float:
     """Largest |z| the rotation schedule can absorb, in real units."""
-    return _tables(iterations)[2] / _ONE
+    return _ZMAX / _ONE
 
 
-def _rotate_vec(z, iterations):
+def _rotate_vec(z):
     """Rotation-mode hyperbolic CORDIC over int64 arrays at internal scale."""
-    sched, atanh, _, _ = _tables(iterations)
     x = np.full_like(z, _ONE)
     y = np.zeros_like(z)
-    for idx, i in enumerate(sched):
+    for i, step in zip(_SCHEDULE, _ATANH):
         pos = z >= 0
         dx = np.where(pos, y >> i, -(y >> i))
         dy = np.where(pos, x >> i, -(x >> i))
-        z = z - np.where(pos, atanh[idx], -atanh[idx])
+        z = z - np.where(pos, step, -step)
         x = x + dx
         y = y + dy
     return y, x
 
 
-def _gain_comp_vec(v, iterations):
+def _gain_comp_vec(v):
     acc = v.copy()
-    for sign, m in _tables(iterations)[3]:
+    for sign, m in _COMP_TERMS:
         acc += sign * (v >> m)
     return acc
 
@@ -149,18 +149,17 @@ def _to_internal_vec(raw, frac_bits):
     return raw >> (frac_bits - INTERNAL_FRAC_BITS)
 
 
-def _tanh_internal_vec(z, iterations):
+def _tanh_internal_vec(z):
     """tanh at internal scale for any z; halving range reduction as needed."""
     sign = np.where(z < 0, -1, 1)
     a = np.abs(z)
-    zmax = _tables(iterations)[2]
     k = np.zeros_like(a)
-    over = a > zmax
+    over = a > _ZMAX
     while over.any():
         a = np.where(over, a >> 1, a)
         k = k + over
-        over = a > zmax
-    y, x = _rotate_vec(a, iterations)
+        over = a > _ZMAX
+    y, x = _rotate_vec(a)
     t = _div_round_vec(y, x, INTERNAL_FRAC_BITS)
     nz = a == 0
     t = np.where(nz, 0, t)
@@ -178,19 +177,19 @@ def saturation_threshold(frac_bits: int) -> float:
     return math.atanh(1.0 - 2.0 ** -(frac_bits + 1))
 
 
-def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int, iterations: int = PIPELINE_STAGES):
+def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point tanh on raw integers; odd-symmetric by
     construction."""
     z = _to_internal_vec(raw, in_frac_bits)
     top = (1 << out_frac_bits) - 1
     sat = round(saturation_threshold(out_frac_bits) * _ONE)
-    t = _tanh_internal_vec(z, iterations)
+    t = _tanh_internal_vec(z)
     out = _rescale_round_even_vec(t, INTERNAL_FRAC_BITS, out_frac_bits)
     out = np.clip(out, -top, top)
     return np.where(np.abs(z) >= sat, np.where(z < 0, -top, top), out)
 
 
-def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int, iterations: int = PIPELINE_STAGES):
+def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point sigmoid via (1 + tanh(x/2)) / 2; the halving
     is exact at the internal scale."""
     raw = np.asarray(raw, dtype=np.int64)
@@ -198,7 +197,7 @@ def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int, iterations: int 
         z = raw << (INTERNAL_FRAC_BITS - in_frac_bits - 1)
     else:
         z = raw >> (in_frac_bits + 1 - INTERNAL_FRAC_BITS)
-    t = _tanh_internal_vec(z, iterations)
+    t = _tanh_internal_vec(z)
     # 1 + tanh is the sigmoid at one extra fractional bit
     out = _rescale_round_even_vec(_ONE + t, INTERNAL_FRAC_BITS + 1, out_frac_bits)
     return np.clip(out, 0, (1 << out_frac_bits) - 1)
@@ -208,7 +207,7 @@ def relu_raw_vec(raw):
     return np.maximum(np.asarray(raw), 0)
 
 
-def cordic_sinh_cosh(z: FxPValue, iterations: int = PIPELINE_STAGES) -> tuple[int, int]:
+def cordic_sinh_cosh(z: FxPValue) -> tuple[int, int]:
     """Gain-compensated (sinh, cosh) as raw integers at the internal scale.
 
     Zero input short-circuits to the exact pair (0, 1). Inputs beyond the
@@ -218,14 +217,13 @@ def cordic_sinh_cosh(z: FxPValue, iterations: int = PIPELINE_STAGES) -> tuple[in
     if z.raw == 0:
         return 0, _ONE
     z_int = int(_to_internal_vec(np.int64(z.raw), z.fmt.frac_bits))
-    zmax = _tables(iterations)[2]
-    if abs(z_int) > zmax:
+    if abs(z_int) > _ZMAX:
         raise ConvergenceDomainError(
-            f"|{z.value}| exceeds convergence bound {zmax / _ONE:.6f}"
+            f"|{z.value}| exceeds convergence bound {convergence_bound():.6f}"
         )
     arr = np.array([z_int], dtype=np.int64)
-    y, x = _rotate_vec(arr, iterations)
-    return int(_gain_comp_vec(y, iterations)[0]), int(_gain_comp_vec(x, iterations)[0])
+    y, x = _rotate_vec(arr)
+    return int(_gain_comp_vec(y)[0]), int(_gain_comp_vec(x)[0])
 
 
 def af_tanh(x: FxPValue) -> FxPValue:

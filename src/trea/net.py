@@ -9,6 +9,15 @@ activations go through the CORDIC unit before being requantized at the layer
 boundary. Boundary and model-input conversions saturate (hardware
 requantization); `fxp.encode` stays strict. Non-finite input is rejected.
 
+The datapath is fixed, not configured: inter-layer activations are
+BOUNDARY_FMT (FxP8), every activation runs through `naf`'s one 9-stage
+pipeline, and both training loops take minibatches of 16. Both forward paths
+are one layer walk: `_layer_rows` lays a layer's input out as operand rows
+(im2col patches for conv, flattened rows for dense), one dot product per row
+and output channel gives the pre-activations, and `_fold` lays the
+activations out as the next layer's input. Every pass caches the same
+per-layer record for `_backward`.
+
 The quantized accumulate is one shift-plane kernel. Each weight's greedy PoT
 terms, looked up in a per-mode table of all raw codes, are grouped by shift m
 into a signed term matrix C_m, and a layer's accumulators are
@@ -28,6 +37,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import naf
 from .errors import (
@@ -63,6 +73,7 @@ __all__ = [
 
 WIDE_FMT = FxPFormat(24, 16)   # activation-unit input format
 BOUNDARY_FMT = FXP8            # inter-layer activation format
+_BATCH_SIZE = 16               # SGD minibatch of reference training and QAT
 MODEL_MAGIC = b"TREAMDL\x00"
 MODEL_VERSION = 1
 
@@ -137,16 +148,11 @@ class LayerDescriptor:
         return self.weights * self.mask.flags
 
     def retained_per_output(self) -> int:
-        """Operands feeding one output neuron (after pruning)."""
+        """Operands feeding one output neuron (after pruning): one window
+        per input channel for conv, the whole row for dense."""
         if self.kind == "dense":
-            return self.weights.shape[1]
-        in_ch = self.weights.shape[1]
-        per_window = (
-            self.mask.retained_per_window
-            if self.mask is not None
-            else self.weights.shape[2] * self.weights.shape[3]
-        )
-        return per_window * in_ch
+            return self.window_operands()
+        return self.window_operands() * self.weights.shape[1]
 
     def window_operands(self) -> int:
         """Operands per kernel window (dense layers count the whole row)."""
@@ -363,16 +369,9 @@ def _im2col(x, kh, kw, stride, padding):
         pt, pb = _same_pads(x.shape[2], kh, stride)
         pl, pr = _same_pads(x.shape[3], kw, stride)
         x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    b, c, h, w = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    cols = np.empty((b, ho * wo, c * kh * kw), dtype=x.dtype)
-    p = 0
-    for i in range(ho):
-        for j in range(wo):
-            patch = x[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
-            cols[:, p, :] = patch.reshape(b, -1)
-            p += 1
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    b, c, ho, wo = win.shape[:4]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * kh * kw)
     return cols, ho, wo
 
 
@@ -396,6 +395,30 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
             )
             p += 1
     return dx[:, :, pt:hp - pb or None, pl:wp - pr or None]
+
+
+def _layer_rows(layer: LayerDescriptor, act):
+    """The layer's operand rows and the output grid they fold back onto:
+    (B, P, C*kh*kw) patches and (ho, wo) for conv, (B, K) flattened rows and
+    None for dense. Every row is one dot product per output channel."""
+    if layer.kind == "dense":
+        return act.reshape(act.shape[0], -1), None
+    cols, ho, wo = _im2col(act, *layer.weights.shape[2:], layer.stride, layer.padding)
+    return cols, (ho, wo)
+
+
+def _fold(out, layer: LayerDescriptor, hw):
+    """Per-row outputs into the next layer's input layout: (B, P, out) conv
+    outputs become (B, out, ho, wo) images; dense outputs stay (B, out)."""
+    if hw is None:
+        return out
+    return out.transpose(0, 2, 1).reshape(out.shape[0], layer.out_channels, *hw)
+
+
+def _unfold(d, z_shape):
+    """Inverse of `_fold`: a gradient in the next layer's input layout back
+    to the (B, P, out) or (B, out) rows of pre-activations `z_shape`."""
+    return d.reshape(z_shape[0], z_shape[-1], -1).transpose(0, 2, 1).reshape(z_shape)
 
 
 def _af_float(sel: AfSelect, z):
@@ -433,30 +456,15 @@ def _float_pass(model: NetworkDescriptor, x):
     layer, scores, caches)."""
     caches = []
     act = x
-    image_shape = None
-    for idx, layer in enumerate(model.layers):
-        last = idx == len(model.layers) - 1
-        if layer.kind == "conv2d":
-            cols, ho, wo = _im2col(act, *layer.weights.shape[2:], layer.stride,
-                                   layer.padding)
-            wmat = layer.masked_weights().reshape(layer.out_channels, -1)
-            z = cols @ wmat.T + layer.bias          # (B, P, out)
-            image_shape = act.shape
-            a = _af_float(layer.activation, z)
-            caches.append(dict(kind="conv2d", cols=cols, z=z, a=a, wmat=wmat,
-                               image_shape=image_shape, ho=ho, wo=wo, layer=layer))
-            act = a.transpose(0, 2, 1).reshape(act.shape[0], layer.out_channels, ho, wo)
-        else:
-            flat = act.reshape(act.shape[0], -1)
-            wmat = layer.masked_weights()
-            z = flat @ wmat.T + layer.bias
-            a = _af_float(layer.activation, z)
-            caches.append(dict(kind="dense", x=flat, z=z, a=a, wmat=wmat,
-                               in_shape=act.shape, layer=layer))
-            act = a
-        if last:
-            return z, act, caches
-    raise AssertionError("unreachable")
+    for layer in model.layers:
+        cols, hw = _layer_rows(layer, act)
+        wmat = layer.masked_weights().reshape(layer.out_channels, -1)
+        z = cols @ wmat.T + layer.bias
+        a = _af_float(layer.activation, z)
+        caches.append(dict(layer=layer, cols=cols, z=z, a=a, wmat=wmat,
+                           in_shape=act.shape))
+        act = _fold(a, layer, hw)
+    return z, act, caches
 
 
 def forward_float(model: NetworkDescriptor, x):
@@ -487,19 +495,18 @@ def _backward(model, caches, logits, labels, lr):
         cache = caches[idx]
         if idx != len(model.layers) - 1:
             delta = delta * _af_deriv_from_output(layer.activation, cache["a"])
-        if cache["kind"] == "dense":
-            gw = delta.T @ cache["x"]
-            gb = delta.sum(0)
+        gb = delta.sum(tuple(range(delta.ndim - 1)))
+        if layer.kind == "dense":
+            gw = delta.T @ cache["cols"]
             dprev = delta @ cache["wmat"]
         else:
             gw = np.einsum("bpo,bpk->ok", delta, cache["cols"]).reshape(
                 layer.weights.shape
             )
-            gb = delta.sum((0, 1))
             dprev = None
             if idx > 0:
                 dcols = delta @ cache["wmat"]
-                dprev = _col2im(dcols, cache["image_shape"],
+                dprev = _col2im(dcols, cache["in_shape"],
                                 *layer.weights.shape[2:], layer.stride, layer.padding)
         if layer.mask is not None:
             gw = gw * layer.mask.flags
@@ -509,18 +516,12 @@ def _backward(model, caches, logits, labels, lr):
             layer.weights *= layer.mask.flags  # pruned positions stay zero
         if idx == 0:
             break
-        prev = model.layers[idx - 1]
-        if prev.kind == "conv2d":
-            # image-shaped gradient back to the (B, P, out) patch layout
-            b = dprev.shape[0]
-            delta = dprev.reshape(b, prev.out_channels, -1).transpose(0, 2, 1)
-        else:
-            delta = dprev
+        delta = _unfold(dprev, caches[idx - 1]["z"].shape)
     return loss
 
 
 def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
-                    name: str = "reference", batch_size: int = 16) -> NetworkDescriptor:
+                    name: str = "reference") -> NetworkDescriptor:
     """Seeded float SGD with softmax cross-entropy on the last layer's
     pre-activations. epochs=0 returns the seeded initialization with
     normalization metadata only."""
@@ -530,12 +531,13 @@ def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
             raise DomainError(f"unknown architecture preset {arch!r}")
         arch = desk_arch(dataset.classes)
     model = build_network(arch, input_shape, seed, name=name)
+    _check_input(model, dataset.train_x)
     rng = np.random.default_rng(seed)
     n = len(dataset.train_x)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            sel = order[start:start + batch_size]
+        for start in range(0, n, _BATCH_SIZE):
+            sel = order[start:start + _BATCH_SIZE]
             logits, _, caches = _float_pass(model, dataset.train_x[sel])
             loss = _backward(model, caches, logits, dataset.train_y[sel], lr)
             if not math.isfinite(loss):
@@ -696,80 +698,53 @@ def _check_overflow(q: _QuantLayer, x):
                 check(a, o, j)
 
 
-def _boundary_raw(sel: AfSelect, pre_true, boundary_fmt: FxPFormat):
+def _boundary_raw(sel: AfSelect, pre_true):
     """Quantize true-scale pre-activations into the wide AF input format, run
     the CORDIC unit, and emit boundary-format raw activations."""
     wide = _sat_encode_raw(pre_true, WIDE_FMT)
-    fi, fo = WIDE_FMT.frac_bits, boundary_fmt.frac_bits
+    fi, fo = WIDE_FMT.frac_bits, BOUNDARY_FMT.frac_bits
     if sel is AfSelect.RELU:
         act = naf.relu_raw_vec(wide)
         out = np.rint(act * 2.0 ** (fo - fi)).astype(np.int64)
-        return np.clip(out, boundary_fmt.raw_min, boundary_fmt.raw_max)
+        return np.clip(out, BOUNDARY_FMT.raw_min, BOUNDARY_FMT.raw_max)
     if sel is AfSelect.SIGMOID:
         return naf.sigmoid_raw_vec(wide, fi, fo)
     return naf.tanh_raw_vec(wide, fi, fo)
 
 
-def _quant_pass(model: NetworkDescriptor, x, boundary_fmt: FxPFormat,
-                with_cache: bool = False):
+def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
     xb, single = _check_input(model, x)
-    act_raw = _sat_encode_raw(xb, boundary_fmt)       # model input is a boundary
-    act_fmt = boundary_fmt
-    image_dims = None
+    act_raw = _sat_encode_raw(xb, BOUNDARY_FMT)       # model input is a boundary
     caches = [] if with_cache else None
-    scores = None
-    for idx, layer in enumerate(model.layers):
+    for layer in model.layers:
         q = _prepare_layer(layer)
         fmt = layer.precision.fmt
         # layer-entry requantization into the mode's operand format
-        if act_fmt.frac_bits == fmt.frac_bits:
+        if BOUNDARY_FMT.frac_bits == fmt.frac_bits:
             x_raw = act_raw
         else:
-            x_raw = _sat_encode_raw(
-                act_raw.astype(np.float64) * act_fmt.lsb, fmt
-            )
-        if layer.kind == "conv2d":
-            cols, ho, wo = _im2col(x_raw, *layer.weights.shape[2:], layer.stride,
-                                   layer.padding)
-            acc = _accumulate(q, cols)
-            pre_true = acc.astype(np.float64) * fmt.lsb * layer.mn_scale
-            bound_raw = _boundary_raw(layer.activation, pre_true, boundary_fmt)
-            if with_cache:
-                caches.append(dict(
-                    kind="conv2d", layer=layer,
-                    cols=cols.astype(np.float64) * fmt.lsb,
-                    z=pre_true,
-                    a=bound_raw.astype(np.float64) * boundary_fmt.lsb,
-                    wmat=q.w_eff.reshape(layer.out_channels, -1),
-                    image_shape=x_raw.shape, ho=ho, wo=wo,
-                ))
-            act_raw = bound_raw.transpose(0, 2, 1).reshape(
-                xb.shape[0], layer.out_channels, ho, wo
-            )
-        else:
-            flat = x_raw.reshape(x_raw.shape[0], -1)
-            acc = _accumulate(q, flat)
-            pre_true = acc.astype(np.float64) * fmt.lsb * layer.mn_scale
-            bound_raw = _boundary_raw(layer.activation, pre_true, boundary_fmt)
-            if with_cache:
-                caches.append(dict(
-                    kind="dense", layer=layer,
-                    x=flat.astype(np.float64) * fmt.lsb,
-                    z=pre_true,
-                    a=bound_raw.astype(np.float64) * boundary_fmt.lsb,
-                    wmat=q.w_eff, in_shape=x_raw.shape,
-                ))
-            act_raw = bound_raw
-        act_fmt = boundary_fmt
-        if idx == len(model.layers) - 1:
-            scores = act_raw.astype(np.float64) * boundary_fmt.lsb
-            logits = pre_true
+            x_raw = _sat_encode_raw(act_raw.astype(np.float64) * BOUNDARY_FMT.lsb, fmt)
+        cols, hw = _layer_rows(layer, x_raw)
+        acc = _accumulate(q, cols)
+        pre_true = acc.astype(np.float64) * fmt.lsb * layer.mn_scale
+        bound_raw = _boundary_raw(layer.activation, pre_true)
+        if with_cache:
+            caches.append(dict(
+                layer=layer,
+                cols=cols.astype(np.float64) * fmt.lsb,
+                z=pre_true,
+                a=bound_raw.astype(np.float64) * BOUNDARY_FMT.lsb,
+                wmat=q.w_eff.reshape(layer.out_channels, -1),
+                in_shape=x_raw.shape,
+            ))
+        act_raw = _fold(bound_raw, layer, hw)
+    scores = act_raw.astype(np.float64) * BOUNDARY_FMT.lsb
     if single:
         scores = scores[0]
-    return logits, scores, caches
+    return pre_true, scores, caches
 
 
-def forward_quant(model: NetworkDescriptor, x, boundary_fmt: FxPFormat = BOUNDARY_FMT):
+def forward_quant(model: NetworkDescriptor, x):
     """Bit-accurate forward pass.
 
     Every multiply is the truncated shift-and-add product at the layer's
@@ -778,7 +753,7 @@ def forward_quant(model: NetworkDescriptor, x, boundary_fmt: FxPFormat = BOUNDAR
     pushed through the CORDIC activation unit, then requantized at the layer
     boundary.
     """
-    _, scores, _ = _quant_pass(model, x, boundary_fmt)
+    _, scores, _ = _quant_pass(model, x)
     return scores
 
 
@@ -787,14 +762,13 @@ def evaluate_float(model, x, y) -> float:
     return float((scores.argmax(axis=1) == y).mean())
 
 
-def evaluate_quant(model, x, y, boundary_fmt: FxPFormat = BOUNDARY_FMT) -> float:
-    scores = forward_quant(model, x, boundary_fmt)
+def evaluate_quant(model, x, y) -> float:
+    scores = forward_quant(model, x)
     return float((scores.argmax(axis=1) == y).mean())
 
 
 def qat_finetune(model: NetworkDescriptor, dataset: Dataset, epochs: int, lr: float,
-                 seed: int, batch_size: int = 16,
-                 boundary_fmt: FxPFormat = BOUNDARY_FMT):
+                 seed: int):
     """Straight-through fine-tuning against the bit-accurate forward path.
 
     Forward values (activations, pre-activations) come from the quantized
@@ -807,11 +781,9 @@ def qat_finetune(model: NetworkDescriptor, dataset: Dataset, epochs: int, lr: fl
     n = len(dataset.train_x)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            sel = order[start:start + batch_size]
-            logits, _, caches = _quant_pass(
-                model, dataset.train_x[sel], boundary_fmt, with_cache=True
-            )
+        for start in range(0, n, _BATCH_SIZE):
+            sel = order[start:start + _BATCH_SIZE]
+            logits, _, caches = _quant_pass(model, dataset.train_x[sel], with_cache=True)
             loss = _backward(model, caches, logits, dataset.train_y[sel], lr)
             if not math.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite: {loss}")
@@ -868,10 +840,16 @@ def save_model(model: NetworkDescriptor, path):
         fh.write(bytes(blob))
 
 
-def _manifest_field(entry, key, where, convert=None):
-    """`entry[key]`, passed through `convert` if given; a missing field or a
-    value `convert` rejects is a `FormatError` naming the field."""
+_REQUIRED = object()
+
+
+def _manifest_field(entry, key, where, convert=None, default=_REQUIRED):
+    """`entry[key]`, passed through `convert` if given; an absent optional
+    field reads as `default`. A missing required field or a value `convert`
+    rejects is a `FormatError` naming the field."""
     if key not in entry:
+        if default is not _REQUIRED:
+            return default
         raise FormatError(f"missing field {where}.{key}")
     if convert is None:
         return entry[key]
@@ -881,10 +859,24 @@ def _manifest_field(entry, key, where, convert=None):
         raise FormatError(f"bad field {where}.{key} = {entry[key]!r}: {exc}") from exc
 
 
+def _int(v):
+    """A JSON integer; floats, bools and strings are rejected, not truncated."""
+    if type(v) is not int:
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
+def _shape(v):
+    """A JSON shape: a non-empty list of positive integers."""
+    if not (isinstance(v, list) and v and all(type(d) is int and d >= 1 for d in v)):
+        raise ValueError("not a non-empty list of positive integers")
+    return tuple(v)
+
+
 def _blob_array(blob, entry, key, where, dtype, count):
     """`count` items of `dtype` read from the blob at the entry's offset."""
-    off = _manifest_field(entry, key, where)
-    if type(off) is not int or off < 0 or off + count * np.dtype(dtype).itemsize > len(blob):
+    off = _manifest_field(entry, key, where, _int)
+    if off < 0 or off + count * np.dtype(dtype).itemsize > len(blob):
         raise FormatError(f"{where}.{key} = {off!r} is outside the {len(blob)}-byte blob")
     return np.frombuffer(blob, dtype=dtype, count=count, offset=off)
 
@@ -914,22 +906,24 @@ def load_model(path) -> NetworkDescriptor:
         where = f"layers[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where} is not an object")
-        shape = _manifest_field(entry, "weight_shape", where)
-        if not (isinstance(shape, list) and shape
-                and all(type(d) is int and d >= 1 for d in shape)):
-            raise FormatError(f"{where}.weight_shape = {shape!r} is not a list of positive ints")
+        shape = _manifest_field(entry, "weight_shape", where, _shape)
         wn = math.prod(shape)
         weights = _blob_array(blob, entry, "weight_offset", where, "<f8", wn).reshape(shape)
         bias = _blob_array(blob, entry, "bias_offset", where, "<f8", shape[0])
         mask = None
         if entry.get("mask_offset") is not None:
-            retained = entry.get("retained_per_window")
-            if type(retained) is not int:
-                raise FormatError(f"{where} has a mask but retained_per_window = {retained!r}")
+            retained = _manifest_field(entry, "retained_per_window", where, _int)
             bits = np.unpackbits(
                 _blob_array(blob, entry, "mask_offset", where, np.uint8, -(-wn // 8))
             )[:wn]
-            mask = SparsityMask(bits.astype(bool).reshape(shape), retained)
+            flags = bits.astype(bool).reshape(shape)
+            # the cycle accounting charges every conv window `retained` operands
+            if len(shape) == 4 and np.any(flags.sum(axis=(2, 3)) != retained):
+                raise FormatError(
+                    f"{where} mask keeps other than retained_per_window = "
+                    f"{retained} weights in some kernel window"
+                )
+            mask = SparsityMask(flags, retained)
         layers.append(LayerDescriptor(
             kind=_manifest_field(entry, "kind", where),
             activation=_manifest_field(entry, "activation", where,
@@ -939,13 +933,13 @@ def load_model(path) -> NetworkDescriptor:
             bias=bias.copy(),
             mn_scale=_manifest_field(entry, "mn_scale", where, float),
             mask=mask,
-            stride=int(entry.get("stride", 1)),
+            stride=_manifest_field(entry, "stride", where, _int, default=1),
             padding=entry.get("padding", "valid"),
         ))
     return NetworkDescriptor(
         name=_manifest_field(manifest, "name", "manifest"),
-        input_shape=tuple(_manifest_field(manifest, "input_shape", "manifest")),
+        input_shape=_manifest_field(manifest, "input_shape", "manifest", _shape),
         layers=layers,
-        seed=int(manifest.get("seed", 0)),
+        seed=_manifest_field(manifest, "seed", "manifest", _int, default=0),
         version=version,
     )

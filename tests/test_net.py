@@ -219,12 +219,21 @@ class TestTrainReference:
             assert np.array_equal(la.bias, lb.bias)
 
     def test_divergence_detected(self):
-        # non-finite forward values must surface, never train silently
+        # a non-finite loss must surface, never train silently
         data = net.synth_dataset(3, 32, 8)
-        data.train_x[0, 0, 0, 0] = np.nan
+        arch = [("dense", dict(out_features=8, activation=AfSelect.RELU)),
+                ("dense", dict(out_features=3, activation=AfSelect.RELU))]
         with pytest.raises(DivergenceError):
             with np.errstate(all="ignore"):
-                net.train_reference("desk", data, epochs=1, lr=0.05, seed=11)
+                net.train_reference(arch, data, epochs=1, lr=1e300, seed=11)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_training_data_is_domain_error(self, bad):
+        # the input is at fault, not the optimiser: no DivergenceError
+        data = net.synth_dataset(3, 32, 8)
+        data.train_x[5, 0, 2, 3] = bad
+        with pytest.raises(DomainError, match="NaN or infinity"):
+            net.train_reference("desk", data, epochs=1, lr=0.05, seed=11)
 
     def test_unknown_preset(self):
         data = net.synth_dataset(3, 8, 0)
@@ -287,14 +296,21 @@ class TestSerialization:
         ("weight_shape", 5),
         ("precision", "fxp16"),
         ("retained_per_window", None),
+        ("retained_per_window", 9),     # the 4:9 mask keeps 4 per window
+        ("stride", "x"),
+        ("stride", 1.5),
         ("layers", 5),
+        ("input_shape", 5),
+        ("input_shape", [1, "a", 3]),
+        ("seed", "x"),
     ])
     def test_malformed_manifest_is_format_error(self, desk_model, tmp_path, key, value):
         p = tmp_path / "m.tmdl"
         net.save_model(sharp.prune_model(desk_model), p)   # layer 0 has a mask
 
         def edit(manifest):
-            target = manifest if key == "layers" else manifest["layers"][0]
+            top = key in ("layers", "input_shape", "seed")
+            target = manifest if top else manifest["layers"][0]
             target[key] = value
 
         rewrite_manifest(p, edit)
@@ -307,18 +323,6 @@ class TestSerialization:
         rewrite_manifest(p, lambda m: m["layers"][0].update(mn_scale=float("nan")))
         with pytest.raises(DomainError, match="finite"):
             net.load_model(p)
-
-
-class TestBoundaryFormat:
-    def test_fxp4_boundary_flag(self, desk_model, desk_data):
-        from trea.fxp import FXP4
-
-        x = desk_data.test_x[0]
-        narrow = net.forward_quant(desk_model, x, boundary_fmt=FXP4)
-        default = net.forward_quant(desk_model, x)
-        assert narrow.shape == default.shape
-        # coarser boundary quantization: all values on the 2^-3 grid
-        assert np.allclose(narrow * 8, np.round(narrow * 8))
 
 
 class TestDescriptors:
@@ -356,3 +360,40 @@ class TestDescriptors:
                                    np.zeros((1, 4, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeMismatch):
             net.NetworkDescriptor("bad", (1, 4, 4), [dense, conv])
+
+
+class TestBackward:
+    def test_matches_central_differences(self):
+        # conv -> conv -> dense reaches `_col2im` (only layers after the first
+        # need it; here with stride 2 and the asymmetric "same" padding of an
+        # 8x8 input) and the conv -> conv gradient unfold
+        arch = [
+            ("conv2d", dict(out_channels=3, kernel=(3, 3), stride=1, padding="valid",
+                            activation=AfSelect.TANH)),
+            ("conv2d", dict(out_channels=2, kernel=(3, 3), stride=2, padding="same",
+                            activation=AfSelect.SIGMOID)),
+            ("dense", dict(out_features=3, activation=AfSelect.TANH)),
+        ]
+        model = net.build_network(arch, (2, 10, 10), seed=3)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 2, 10, 10))
+        y = np.array([0, 1, 2, 1])
+
+        def loss(m):
+            logits, _, caches = net._float_pass(m, x)
+            return net._backward(m, caches, logits, y, 0.0)
+
+        stepped = model.copy()
+        logits, _, caches = net._float_pass(stepped, x)
+        net._backward(stepped, caches, logits, y, 1.0)   # w -= 1.0 * grad
+        h = 1e-5
+        for i, (layer, after) in enumerate(zip(model.layers, stepped.layers)):
+            for attr in ("weights", "bias"):
+                got = getattr(layer, attr) - getattr(after, attr)
+                want = np.zeros_like(got)
+                for idx in np.ndindex(got.shape):
+                    for sign in (1, -1):
+                        probe = model.copy()
+                        getattr(probe.layers[i], attr)[idx] += sign * h
+                        want[idx] += sign * loss(probe) / (2 * h)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
+                                           err_msg=f"layer {i} {attr}")
