@@ -5,10 +5,15 @@ All bit-accurate work happens on raw integers; floats only enter at the
 encode/decode boundary. A weight with magnitude below one is split greedily
 into signed power-of-two terms, most significant digit first, so a multiply
 becomes a short cascade of arithmetic shifts and adds.
+
+`msd_decompose` and `potq_multiply` are the scalar oracles; every batched
+product (`net`'s accumulate, `error_sweep`) reads the same terms from the one
+cached `term_table`, in shift-plane form sum_m sign_m * (x >> m).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +34,7 @@ __all__ = [
     "mn_normalize",
     "msd_decompose",
     "potq_multiply",
+    "term_table",
     "error_bound",
     "error_sweep",
 ]
@@ -225,6 +231,30 @@ def potq_multiply(x: FxPValue, w: FxPValue, t: int) -> FxPValue:
     return FxPValue(acc, x.fmt)
 
 
+@functools.cache
+def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
+    """Greedy MSD terms, at most t each, of every raw code of `fmt`: float64
+    signs, (F+1) x 2**N, built once per (fmt, t) and read-only (shared).
+
+    `table[m, raw - fmt.raw_min]` is the sign of the code's term with shift
+    m, or 0: greedy MSD uses each shift at most once, so the code's value is
+    sum_m sign_m 2**-m. Codes above 2**F in magnitude (formats with N > F+1)
+    would need a negative shift; their columns are NaN.
+    """
+    if t < 1:
+        raise DomainError(f"iteration count must be >= 1, got {t}")
+    f = fmt.frac_bits
+    table = np.zeros((f + 1, 1 << fmt.total_bits))
+    for i, raw in enumerate(range(fmt.raw_min, fmt.raw_max + 1)):
+        if abs(raw) > 1 << f:
+            table[:, i] = np.nan
+            continue
+        for sign, m in _decompose_raw(raw, f, t)[0]:
+            table[m, i] = sign
+    table.flags.writeable = False
+    return table
+
+
 def error_bound(x: FxPValue, t: int, frac_bits: int) -> float:
     """Worst-case product error: residual part |x| * 2**-t plus one LSB of
     truncation per accumulated term."""
@@ -235,27 +265,24 @@ def error_sweep(fmt: FxPFormat, t_values) -> list[tuple[int, float, float]]:
     """Exhaustive (x, w) product-error statistics per iteration count.
 
     Sweeps every operand pair of the format with |w| < 1 and returns rows
-    (t, max_abs_error, mean_abs_error) against the exact real product.
+    (t, max_abs_error, mean_abs_error) against the exact real product. Products
+    are sum_m outer(sign_m, x >> m) (exact), in blocks of at most 2**14 pairs.
     """
     f = fmt.frac_bits
     xs = np.arange(fmt.raw_min, fmt.raw_max + 1, dtype=np.int64)
-    w_raws = [w for w in range(fmt.raw_min, fmt.raw_max + 1) if abs(w) < (1 << f)]
+    w_raws = xs[np.abs(xs) < (1 << f)]
+    planes = (xs >> np.arange(f + 1)[:, None]).astype(np.float64)   # (F+1, x)
+    step = max(1, (1 << 14) // xs.size)
     rows = []
     for t in t_values:
-        if t < 1:
-            raise DomainError(f"iteration count must be >= 1, got {t}")
-        max_err = 0.0
-        err_sum = 0.0
-        count = 0
-        for w in w_raws:
-            raw_terms, _ = _decompose_raw(w, f, t)
-            acc = np.zeros_like(xs)
-            for sign, m in raw_terms:
-                acc += sign * (xs >> m)
-            exact = xs.astype(np.float64) * w * 2.0 ** (-2 * f)
-            err = np.abs(exact - acc.astype(np.float64) * fmt.lsb)
+        table = term_table(fmt, t)
+        max_err, row_sums = 0.0, []
+        for w in (w_raws[lo:lo + step] for lo in range(0, w_raws.size, step)):
+            prod = np.einsum("mw,mx->wx", table[:, w - fmt.raw_min], planes)
+            err = np.abs(np.multiply.outer(w * 2.0 ** (-2 * f), xs) - prod * fmt.lsb)
             max_err = max(max_err, float(err.max()))
-            err_sum += float(err.sum())
-            count += err.size
-        rows.append((t, max_err, err_sum / count))
+            row_sums.append(err.sum(axis=1))
+        # per-weight sums added in weight order: a one-weight-at-a-time rounding
+        err_sum = np.add.accumulate(np.concatenate(row_sums))[-1]
+        rows.append((t, max_err, float(err_sum) / (w_raws.size * xs.size)))
     return rows

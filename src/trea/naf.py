@@ -18,7 +18,9 @@ constants built once at import; no caller picks another depth.
 Everything here is pure; the pipeline itself is a timing model
 (piso_latency), not a stateful object. Array-valued helpers (suffix
 ``_vec``) run the identical integer arithmetic elementwise so batched
-callers get bit-identical results to the scalar ops.
+callers get bit-identical results to the scalar ops. All three own their
+output rescale (round-half-even) and saturation below one, so the layer
+boundary in `trea.net` does no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -192,19 +194,17 @@ def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
 def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point sigmoid via (1 + tanh(x/2)) / 2; the halving
     is exact at the internal scale."""
-    raw = np.asarray(raw, dtype=np.int64)
-    if in_frac_bits + 1 <= INTERNAL_FRAC_BITS:
-        z = raw << (INTERNAL_FRAC_BITS - in_frac_bits - 1)
-    else:
-        z = raw >> (in_frac_bits + 1 - INTERNAL_FRAC_BITS)
-    t = _tanh_internal_vec(z)
+    t = _tanh_internal_vec(_to_internal_vec(raw, in_frac_bits + 1))
     # 1 + tanh is the sigmoid at one extra fractional bit
     out = _rescale_round_even_vec(_ONE + t, INTERNAL_FRAC_BITS + 1, out_frac_bits)
     return np.clip(out, 0, (1 << out_frac_bits) - 1)
 
 
-def relu_raw_vec(raw):
-    return np.maximum(np.asarray(raw), 0)
+def relu_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
+    """Elementwise fixed-point ReLU, rounded half-even and saturated below one."""
+    out = _rescale_round_even_vec(np.maximum(np.asarray(raw, dtype=np.int64), 0),
+                                  in_frac_bits, out_frac_bits)
+    return np.minimum(out, (1 << out_frac_bits) - 1)
 
 
 def cordic_sinh_cosh(z: FxPValue) -> tuple[int, int]:

@@ -5,22 +5,23 @@ The float path is the oracle: double precision conv/dense plus exact
 activation functions. The quantized path is bit-accurate: activations and
 weights live as raw integers, every multiply is the truncated shift-and-add
 PoT product at the layer's precision, accumulators are width-checked, and
-activations go through the CORDIC unit before being requantized at the layer
-boundary. Boundary and model-input conversions saturate (hardware
+activations go through the CORDIC unit, which rescales them to the layer
+boundary's format. Boundary and model-input conversions saturate (hardware
 requantization); `fxp.encode` stays strict. Non-finite input is rejected.
 
 The datapath is fixed, not configured: inter-layer activations are
 BOUNDARY_FMT (FxP8), every activation runs through `naf`'s one 9-stage
-pipeline, and both training loops take minibatches of 16. Both forward paths
-are one layer walk: `_layer_rows` lays a layer's input out as operand rows
-(im2col patches for conv, flattened rows for dense), one dot product per row
-and output channel gives the pre-activations, and `_fold` lays the
-activations out as the next layer's input. Every pass caches the same
-per-layer record for `_backward`.
+pipeline, and both training loops walk one seeded order of minibatches of 16
+(`_minibatches`), with `_backward` raising `DivergenceError` on a non-finite
+loss. Both forward paths are one layer walk: `_layer_rows` lays a layer's
+input out as operand rows (im2col patches for conv, flattened rows for
+dense), one dot product per row and output channel gives the
+pre-activations, and `_fold` lays the activations out as the next layer's
+input. Every pass caches the same per-layer record for `_backward`.
 
 The quantized accumulate is one shift-plane kernel. Each weight's greedy PoT
-terms, looked up in a per-mode table of all raw codes, are grouped by shift m
-into a signed term matrix C_m, and a layer's accumulators are
+terms, read from `fxp.term_table` at the mode's format and depth, are grouped
+by shift m into a signed term matrix C_m, and a layer's accumulators are
 bias + sum_m (x >> m) @ C_m.T: one exact float64 matmul per shift in use, with
 the shift applied per operand and flooring as the hardware truncates.
 Overflow keeps the hardware's per-add semantics: a cheap bound on every
@@ -30,11 +31,10 @@ term by term in hardware order.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,7 +47,7 @@ from .errors import (
     FormatError,
     ShapeMismatch,
 )
-from .fxp import FXP8, FxPFormat, _decompose_raw, mn_normalize
+from .fxp import FXP8, FxPFormat, mn_normalize, term_table
 from .mac import MacMode, accumulator_width
 from .naf import AfSelect
 
@@ -120,7 +120,7 @@ class LayerDescriptor:
         want = 4 if self.kind == "conv2d" else 2
         if self.weights.ndim != want:
             raise ShapeMismatch(
-                f"{self.kind} weights must be {want}-D, got {self.weights.ndim}-D"
+                f"kind {self.kind!r} needs {want}-D weights, got {self.weights.ndim}-D"
             )
         if self.weights.shape[0] < 1 or min(self.weights.shape) < 1:
             raise ShapeMismatch("layer has an empty weight dimension")
@@ -170,17 +170,7 @@ class LayerDescriptor:
         self.mn_scale, _ = mn_normalize(w, self.precision.fmt)
 
     def copy(self) -> "LayerDescriptor":
-        return LayerDescriptor(
-            kind=self.kind,
-            activation=self.activation,
-            precision=self.precision,
-            weights=self.weights.copy(),
-            bias=self.bias.copy(),
-            mn_scale=self.mn_scale,
-            mask=self.mask,
-            stride=self.stride,
-            padding=self.padding,
-        )
+        return replace(self, weights=self.weights.copy(), bias=self.bias.copy())
 
 
 @dataclass
@@ -231,13 +221,7 @@ class NetworkDescriptor:
         return shapes
 
     def copy(self) -> "NetworkDescriptor":
-        return NetworkDescriptor(
-            name=self.name,
-            input_shape=self.input_shape,
-            layers=[l.copy() for l in self.layers],
-            seed=self.seed,
-            version=self.version,
-        )
+        return replace(self, layers=[l.copy() for l in self.layers])
 
 
 def _conv_out_hw(h, w, kh, kw, stride, padding):
@@ -480,10 +464,24 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _minibatches(dataset: Dataset, epochs: int, seed: int):
+    """The seeded SGD order of both training loops: (inputs, labels)
+    minibatches of _BATCH_SIZE over one permutation per epoch."""
+    rng = np.random.default_rng(seed)
+    n = len(dataset.train_x)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, _BATCH_SIZE):
+            sel = order[start:start + _BATCH_SIZE]
+            yield dataset.train_x[sel], dataset.train_y[sel]
+
+
 def _backward(model, caches, logits, labels, lr):
     """Shared SGD backward from cross-entropy on the last layer's
     pre-activation. Updates weights in place; masked positions get no
-    gradient. Caches may hold either float or quantized forward values."""
+    gradient. Caches may hold either float or quantized forward values.
+    Returns the loss, raising `DivergenceError` after the update if it is
+    not finite."""
     batch = logits.shape[0]
     probs = _softmax(logits)
     loss = float(-np.log(probs[np.arange(batch), labels] + 1e-300).mean())
@@ -517,6 +515,8 @@ def _backward(model, caches, logits, labels, lr):
         if idx == 0:
             break
         delta = _unfold(dprev, caches[idx - 1]["z"].shape)
+    if not math.isfinite(loss):
+        raise DivergenceError(f"loss became non-finite: {loss}")
     return loss
 
 
@@ -532,16 +532,9 @@ def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
         arch = desk_arch(dataset.classes)
     model = build_network(arch, input_shape, seed, name=name)
     _check_input(model, dataset.train_x)
-    rng = np.random.default_rng(seed)
-    n = len(dataset.train_x)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, _BATCH_SIZE):
-            sel = order[start:start + _BATCH_SIZE]
-            logits, _, caches = _float_pass(model, dataset.train_x[sel])
-            loss = _backward(model, caches, logits, dataset.train_y[sel], lr)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"loss became non-finite: {loss}")
+    for x, y in _minibatches(dataset, epochs, seed):
+        logits, _, caches = _float_pass(model, x)
+        _backward(model, caches, logits, y, lr)
     for layer in model.layers:
         layer.refresh_mn_scale()
     return model
@@ -556,31 +549,6 @@ def _sat_encode_raw(values, fmt: FxPFormat):
     Boundary requantization clips instead of erroring."""
     raw = np.rint(np.asarray(values, dtype=np.float64) * (1 << fmt.frac_bits))
     return np.clip(raw, fmt.raw_min, fmt.raw_max).astype(np.int64)
-
-
-@functools.cache
-def _code_table(mode: MacMode):
-    """Greedy MSD terms of every raw code of the mode's format, built once.
-
-    Returns (signs, value). `signs[m, raw - fmt.raw_min]` (F+1 rows, one
-    column per code) is the sign of the code's term with shift m, 0 if it
-    has none: greedy MSD uses each shift at most once, with shifts
-    increasing, so one sign per shift is the whole decomposition. `value` is
-    the sum of the terms. Both arrays are float64, to feed the matmuls, and
-    read-only, because every caller shares them.
-    """
-    fmt = mode.fmt
-    codes = range(fmt.raw_min, fmt.raw_max + 1)
-    signs = np.zeros((fmt.frac_bits + 1, len(codes)))
-    value = np.zeros(len(codes))
-    for i, raw in enumerate(codes):
-        terms, _ = _decompose_raw(raw, fmt.frac_bits, mode.terms)
-        for s, m in terms:
-            signs[m, i] = s
-        value[i] = sum(s * 2.0 ** -m for s, m in terms)
-    signs.flags.writeable = False
-    value.flags.writeable = False
-    return signs, value
 
 
 @dataclass
@@ -607,16 +575,12 @@ def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     w_raw = np.rint(wn * (1 << f)).astype(np.int64)
     if layer.mask is not None:
         w_raw = w_raw * layer.mask.flags
-    signs, value = _code_table(layer.precision)
+    signs = term_table(fmt, layer.precision.terms)
     codes = (w_raw - fmt.raw_min).reshape(layer.out_channels, -1)
-    approx = value[codes]
-    present = np.zeros(signs.shape[1], dtype=bool)
-    present[codes] = True
-    shifts = np.flatnonzero(signs[:, present].any(axis=1))
-    planes = tuple((int(m), signs[m][codes]) for m in shifts)
-    reach = np.zeros(layer.out_channels, dtype=np.int64)
-    for m, c in planes:
-        reach += np.abs(c).sum(axis=1).astype(np.int64) << (f - m)
+    planes = tuple((m, c) for m, c in enumerate(signs.take(codes, axis=1)) if c.any())
+    # per code: sum_m s * 2**-m and sum_m |s| * 2**(F-m), exact (dyadic terms)
+    approx = (2.0 ** -np.arange(f + 1) @ signs)[codes]
+    reach = (2.0 ** (f - np.arange(f + 1)) @ np.abs(signs))[codes].sum(axis=1)
     bias_raw = np.rint(layer.bias / layer.mn_scale * (1 << f)).astype(np.int64)
     k = layer.retained_per_output()
     has_bias = bool(np.any(bias_raw))
@@ -672,14 +636,13 @@ def _check_overflow(q: _QuantLayer, x):
     if not x.size:
         return
     lim = q.acc_limit
-    f = q.layer.precision.fmt.frac_bits
-    s = -(-max(int(x.max()), -int(x.min())) >> f)      # ceil(max |x| / 2**F)
+    fmt = q.layer.precision.fmt
+    s = -(-max(int(x.max()), -int(x.min())) >> fmt.frac_bits)   # ceil(max |x| / 2**F)
     bound = np.abs(q.bias_raw.astype(np.float64)) + float(s) * q.reach
     suspect = np.flatnonzero(bound > lim - 1)
     if not suspect.size:
         return
-    signs, _ = _code_table(q.layer.precision)
-    raw_min = q.layer.precision.fmt.raw_min
+    signs = term_table(fmt, q.layer.precision.terms)
     wmat = q.w_raw.reshape(q.layer.out_channels, -1)
 
     def check(a, o, j):
@@ -692,21 +655,19 @@ def _check_overflow(q: _QuantLayer, x):
         a = np.full(len(x), q.bias_raw[o], dtype=np.int64)
         check(a, o, "bias")
         for j in np.flatnonzero(wmat[o]):
-            code = signs[:, wmat[o, j] - raw_min]
+            code = signs[:, wmat[o, j] - fmt.raw_min]
             for m in np.flatnonzero(code):
                 a += int(code[m]) * (x[:, j] >> m)
                 check(a, o, j)
 
 
 def _boundary_raw(sel: AfSelect, pre_true):
-    """Quantize true-scale pre-activations into the wide AF input format, run
-    the CORDIC unit, and emit boundary-format raw activations."""
+    """Quantize true-scale pre-activations into the wide AF input format and
+    run the activation unit, which emits boundary-format raw activations."""
     wide = _sat_encode_raw(pre_true, WIDE_FMT)
     fi, fo = WIDE_FMT.frac_bits, BOUNDARY_FMT.frac_bits
     if sel is AfSelect.RELU:
-        act = naf.relu_raw_vec(wide)
-        out = np.rint(act * 2.0 ** (fo - fi)).astype(np.int64)
-        return np.clip(out, BOUNDARY_FMT.raw_min, BOUNDARY_FMT.raw_max)
+        return naf.relu_raw_vec(wide, fi, fo)
     if sel is AfSelect.SIGMOID:
         return naf.sigmoid_raw_vec(wide, fi, fo)
     return naf.tanh_raw_vec(wide, fi, fo)
@@ -777,18 +738,11 @@ def qat_finetune(model: NetworkDescriptor, dataset: Dataset, epochs: int, lr: fl
     only; masks and precision assignments are untouched. mn scales refresh
     after every step so encoded weights stay in range.
     """
-    rng = np.random.default_rng(seed)
-    n = len(dataset.train_x)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, _BATCH_SIZE):
-            sel = order[start:start + _BATCH_SIZE]
-            logits, _, caches = _quant_pass(model, dataset.train_x[sel], with_cache=True)
-            loss = _backward(model, caches, logits, dataset.train_y[sel], lr)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"loss became non-finite: {loss}")
-            for layer in model.layers:
-                layer.refresh_mn_scale()
+    for x, y in _minibatches(dataset, epochs, seed):
+        logits, _, caches = _quant_pass(model, x, with_cache=True)
+        _backward(model, caches, logits, y, lr)
+        for layer in model.layers:
+            layer.refresh_mn_scale()
     return model
 
 
@@ -866,6 +820,13 @@ def _int(v):
     return v
 
 
+def _str(v):
+    """A JSON string."""
+    if type(v) is not str:
+        raise TypeError(f"{v!r} is not a string")
+    return v
+
+
 def _shape(v):
     """A JSON shape: a non-empty list of positive integers."""
     if not (isinstance(v, list) and v and all(type(d) is int and d >= 1 for d in v)):
@@ -879,6 +840,15 @@ def _blob_array(blob, entry, key, where, dtype, count):
     if off < 0 or off + count * np.dtype(dtype).itemsize > len(blob):
         raise FormatError(f"{where}.{key} = {off!r} is outside the {len(blob)}-byte blob")
     return np.frombuffer(blob, dtype=dtype, count=count, offset=off)
+
+
+def _build(cls, where, **fields):
+    """`cls(**fields)`; a `ShapeMismatch` from the descriptor's checks (which
+    name the field at fault) is a malformed file, raised as a `FormatError`."""
+    try:
+        return cls(**fields)
+    except ShapeMismatch as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def load_model(path) -> NetworkDescriptor:
@@ -924,7 +894,8 @@ def load_model(path) -> NetworkDescriptor:
                     f"{retained} weights in some kernel window"
                 )
             mask = SparsityMask(flags, retained)
-        layers.append(LayerDescriptor(
+        layers.append(_build(
+            LayerDescriptor, where,
             kind=_manifest_field(entry, "kind", where),
             activation=_manifest_field(entry, "activation", where,
                                        lambda v: AfSelect.from_code(int(v))),
@@ -936,8 +907,9 @@ def load_model(path) -> NetworkDescriptor:
             stride=_manifest_field(entry, "stride", where, _int, default=1),
             padding=entry.get("padding", "valid"),
         ))
-    return NetworkDescriptor(
-        name=_manifest_field(manifest, "name", "manifest"),
+    return _build(
+        NetworkDescriptor, "manifest",
+        name=_manifest_field(manifest, "name", "manifest", _str),
         input_shape=_manifest_field(manifest, "input_shape", "manifest", _shape),
         layers=layers,
         seed=_manifest_field(manifest, "seed", "manifest", _int, default=0),

@@ -20,6 +20,7 @@ from trea.fxp import (
     mn_normalize,
     msd_decompose,
     potq_multiply,
+    term_table,
     trunc_shift,
 )
 
@@ -216,3 +217,59 @@ def test_error_sweep_rows():
     assert all(mx >= mn >= 0.0 for _, mx, mn in rows)
     with pytest.raises(DomainError):
         error_sweep(FXP4, [0])
+
+
+def test_error_sweep_matches_exhaustive_oracle():
+    # the max is the scalar oracle's, exactly; the means are pinned to the
+    # floats of the per-weight summation order
+    one = 1 << FXP4.frac_bits
+    xs = [FxPValue(r, FXP4) for r in range(FXP4.raw_min, FXP4.raw_max + 1)]
+    ws = [FxPValue(r, FXP4) for r in range(1 - one, one)]
+    rows = error_sweep(FXP4, [1, 2, 3])
+    for t, mx, _ in rows:
+        want = max(abs(Fraction(x.raw * w.raw, one * one)
+                       - Fraction(potq_multiply(x, w, t).raw, one))
+                   for x in xs for w in ws)
+        assert mx == want
+    assert [mn for _, _, mn in rows] == [0.07994791666666666, 0.06640625,
+                                         0.07083333333333333]
+
+
+TABLE_DEPTHS = [(fmt, t) for fmt in (FXP4, FXP8) for t in range(1, fmt.frac_bits + 1)]
+
+
+@pytest.mark.parametrize("fmt, t", TABLE_DEPTHS,
+                         ids=[f"FXP{fmt.total_bits}-t{t}" for fmt, t in TABLE_DEPTHS])
+def test_term_table_matches_msd_decompose(fmt, t):
+    table = term_table(fmt, t)
+    assert table.shape == (fmt.frac_bits + 1, 1 << fmt.total_bits)
+    assert table.dtype == np.float64
+    for raw in range(fmt.raw_min + 1, fmt.raw_max + 1):
+        by_shift = np.zeros(fmt.frac_bits + 1)
+        for term in msd_decompose(FxPValue(raw, fmt), t).terms:
+            assert by_shift[term.shift] == 0  # one term per shift
+            by_shift[term.shift] = term.sign
+        np.testing.assert_array_equal(table[:, raw - fmt.raw_min], by_shift)
+    # -1.0 is outside msd_decompose's |w| < 1 domain: one term, shift 0
+    assert list(table[:, 0]) == [-1] + [0] * fmt.frac_bits
+
+
+@pytest.mark.parametrize("fmt", [FXP4, FXP8], ids=["FXP4", "FXP8"])
+def test_term_table_is_cached_and_read_only(fmt):
+    table = term_table(fmt, 3)
+    assert term_table(fmt, 3) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    with pytest.raises(DomainError):
+        term_table(fmt, 0)
+
+
+def test_term_table_codes_beyond_one_have_no_terms():
+    # in a format with integer bits, codes above 2**F would need a negative
+    # shift; their columns are NaN, never a silently wrong expansion
+    fmt = FxPFormat(6, 4)
+    table = term_table(fmt, 4)
+    raws = np.arange(fmt.raw_min, fmt.raw_max + 1)
+    beyond = np.abs(raws) > 1 << fmt.frac_bits
+    assert np.isnan(table[:, beyond]).all()
+    assert not np.isnan(table[:, ~beyond]).any()

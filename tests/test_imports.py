@@ -2,7 +2,9 @@
 import sits at module top level, where it runs at import time, and no two
 modules import each other, directly or through others. A deferred import
 inside a function is the usual way to hide such a cycle from the
-interpreter; the graph counts it all the same."""
+interpreter; the graph counts it all the same. No module reaches into
+another's `_`-private names either: a rule one module needs from another is
+that module's public API, so it has one owner."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -52,3 +54,27 @@ def test_intra_package_import_graph_is_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_uses_another_modules_private_names():
+    uses = []
+    for name in MODULES:
+        tree = _parse(name)
+        modules = set()   # local names of modules bound by `from . import mod`
+        for node in ast.walk(tree):
+            if not _intra_imports(node):
+                continue
+            for alias in node.names:
+                if _private(alias.name.rpartition(".")[2]):
+                    uses.append(f"{name}.py:{node.lineno} imports {alias.name}")
+                if getattr(node, "module", "") in (None, "trea"):
+                    modules.add(alias.asname or alias.name)
+        uses += [f"{name}.py:{node.lineno} reads {node.value.id}.{node.attr}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules and _private(node.attr)]
+    assert not uses, f"private names used across modules: {uses}"

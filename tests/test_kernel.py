@@ -12,7 +12,7 @@ from conftest import random_topology
 from trea import net
 from trea.errors import AccumulatorOverflow, DomainError
 from trea.fxp import FxPValue, msd_decompose
-from trea.mac import Accumulator, MacMode, dot_product, mac_step
+from trea.mac import Accumulator, dot_product, mac_step
 
 
 def _layer_operands(rng, layer, batch):
@@ -159,41 +159,13 @@ def test_batched_forward_rows_equal_single_calls(seed):
         np.testing.assert_array_equal(row, net.forward_quant(model, xi))
 
 
-@pytest.mark.parametrize("mode", list(MacMode))
-def test_code_table_matches_msd_decompose(mode):
-    fmt = mode.fmt
-    signs, value = net._code_table(mode)
-    assert signs.shape == (fmt.frac_bits + 1, 1 << fmt.total_bits)
-    for raw in range(fmt.raw_min + 1, fmt.raw_max + 1):
-        dec = msd_decompose(FxPValue(raw, fmt), mode.terms)
-        by_shift = np.zeros(fmt.frac_bits + 1)
-        for term in dec.terms:
-            assert by_shift[term.shift] == 0  # one term per shift
-            by_shift[term.shift] = term.sign
-        np.testing.assert_array_equal(signs[:, raw - fmt.raw_min], by_shift)
-        assert value[raw - fmt.raw_min] == dec.approximation()
-    # -1.0 is outside msd_decompose's |w| < 1 domain: one term, shift 0
-    assert list(signs[:, 0]) == [-1] + [0] * fmt.frac_bits
-    assert value[0] == -1.0
-
-
-@pytest.mark.parametrize("mode", list(MacMode))
-def test_code_table_is_cached_and_read_only(mode):
-    signs, value = net._code_table(mode)
-    assert net._code_table(mode)[0] is signs
-    with pytest.raises(ValueError):
-        signs[0, 0] = 0
-    with pytest.raises(ValueError):
-        value[0] = 0.0
-
-
 @pytest.mark.parametrize("field, poke", [
     ("weights", lambda w: w * 4.0),                      # mn_scale not refreshed
     ("weights", lambda w: np.full_like(w, np.nan)),
     ("bias", lambda b: np.full_like(b, np.inf)),
 ], ids=["weights_beyond_mn_scale", "nan_weights", "inf_bias"])
 def test_prepare_layer_rejects_values_outside_the_code_table(field, poke):
-    # such weights would index past the code table; such a bias would be an
+    # such weights would index past the term table; such a bias would be an
     # int64 garbage preload
     rng = np.random.default_rng(3)
     model, _ = random_topology(rng)

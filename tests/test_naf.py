@@ -130,6 +130,18 @@ class TestRelu:
             once = af_relu(FxPValue(raw, FXP8))
             assert af_relu(once).raw == once.raw >= 0
 
+    def test_raw_vec_rescales_round_half_even_and_saturates(self):
+        # 16 -> 7 fractional bits drops 9: the range holds every tie
+        # (odd multiples of 2**8) and runs past the top code 127
+        raw = np.arange(-(1 << 12), 130 << 9, dtype=np.int64)
+        want = np.clip(np.rint(np.maximum(raw, 0) * 2.0 ** -9), 0, 127)
+        np.testing.assert_array_equal(naf.relu_raw_vec(raw, 16, 7), want)
+
+    def test_raw_vec_upscales_exactly(self):
+        raw = np.arange(-300, 300, dtype=np.int64)
+        want = np.clip(np.maximum(raw, 0) << 4, 0, (1 << 11) - 1)
+        np.testing.assert_array_equal(naf.relu_raw_vec(raw, 7, 11), want)
+
 
 class TestApply:
     def test_dispatch_bit_equal_exhaustive(self):

@@ -303,18 +303,24 @@ class TestSerialization:
         ("input_shape", 5),
         ("input_shape", [1, "a", 3]),
         ("seed", "x"),
+        ("name", 5),
+        ("kind", 5),
+        ("kind", "dense"),              # layer 0 is a conv layer
+        ("padding", 5),
+        ("stride", 0),
+        ("input_shape", [1, 12]),
     ])
     def test_malformed_manifest_is_format_error(self, desk_model, tmp_path, key, value):
         p = tmp_path / "m.tmdl"
         net.save_model(sharp.prune_model(desk_model), p)   # layer 0 has a mask
 
         def edit(manifest):
-            top = key in ("layers", "input_shape", "seed")
+            top = key in ("layers", "input_shape", "seed", "name")
             target = manifest if top else manifest["layers"][0]
             target[key] = value
 
         rewrite_manifest(p, edit)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=key):
             net.load_model(p)
 
     def test_non_finite_mn_scale_rejected_on_load(self, desk_model, tmp_path):
