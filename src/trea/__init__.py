@@ -2,7 +2,7 @@
 PoT shift-and-add MAC arithmetic, SIMD-aligned structured pruning, CORDIC
 activation functions, and a cycle-accurate time-multiplexed scheduler."""
 
-from . import cli, fxp, mac, metrics, naf, net, sched, sharp
+from . import fxp, mac, metrics, naf, net, sched, sharp
 from .errors import TreaError
 
 __all__ = ["cli", "fxp", "mac", "metrics", "naf", "net", "sched", "sharp", "TreaError"]

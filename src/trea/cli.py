@@ -2,9 +2,9 @@
 assignment, pruning, fine-tuning, simulation, error sweeps, and the
 self-verification gate.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
-format error. All stochastic behavior is driven by explicit seeds, so every
-stage is reproducible byte-for-byte.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
+malformed file or rejected parameter. All stochastic behavior is driven by
+explicit seeds, so every stage is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the float reference model")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--arch", default="desk")
     t.add_argument("--epochs", type=int, default=15)
     t.add_argument("--lr", type=float, default=0.08)
     t.add_argument("--seed", type=int, required=True)
@@ -87,6 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_data(path) -> net.Dataset:
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise TreaError(f"dataset descriptor {path} is not a JSON object")
     try:
         return net.synth_dataset(
             seed=cfg["seed"], n_train=cfg["n_train"], n_test=cfg["n_test"],
@@ -109,7 +110,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     data = _load_data(args.data)
-    model = net.train_reference(args.arch, data, epochs=args.epochs, lr=args.lr,
+    model = net.train_reference("desk", data, epochs=args.epochs, lr=args.lr,
                                 seed=args.seed)
     acc = net.evaluate_float(model, data.test_x, data.test_y)
     net.save_model(model, args.out)

@@ -25,10 +25,6 @@ class LengthMismatch(TreaError, ValueError):
     """Paired operand sequences differ in length."""
 
 
-class ConvergenceDomainError(TreaError, ValueError):
-    """CORDIC input outside the convergence range of the iteration schedule."""
-
-
 class InvalidSelect(TreaError, ValueError):
     """Reserved or unknown activation-function select code."""
 

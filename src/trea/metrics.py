@@ -9,6 +9,7 @@ labeled as externally sourced in rendered reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -46,10 +47,10 @@ class PlatformNumbers:
             raise DomainError("LUT usage outside [0, total]")
         if not 0 <= self.ffs_used <= self.ffs_total:
             raise DomainError("FF usage outside [0, total]")
-        if self.p_avg_watts < 0:
-            raise DomainError("average power must be nonnegative")
-        if self.f_clk_hz <= 0:
-            raise DomainError("clock frequency must be positive")
+        if not 0 <= self.p_avg_watts < math.inf:
+            raise DomainError("average power must be finite and nonnegative")
+        if not 0 < self.f_clk_hz < math.inf:
+            raise DomainError("clock frequency must be finite and positive")
 
 
 def nfpci(p: PlatformNumbers) -> float:
@@ -61,15 +62,15 @@ def nfpci(p: PlatformNumbers) -> float:
 
 def sfil(cpfi: int, f_clk_hz: float) -> float:
     """Single-frame latency in seconds: cycles over clock."""
-    if f_clk_hz <= 0:
-        raise DomainError("clock frequency must be positive")
+    if not 0 < f_clk_hz < math.inf:
+        raise DomainError("clock frequency must be finite and positive")
     return cpfi / f_clk_hz
 
 
 def ecpi(p_avg_watts: float, sfil_seconds: float) -> float:
     """Energy per frame in joules (rendered as microjoules in reports)."""
-    if p_avg_watts < 0 or sfil_seconds < 0:
-        raise DomainError("power and latency must be nonnegative")
+    if not (0 <= p_avg_watts < math.inf and 0 <= sfil_seconds < math.inf):
+        raise DomainError("power and latency must be finite and nonnegative")
     return p_avg_watts * sfil_seconds
 
 
@@ -137,7 +138,10 @@ def load_device_profile(name_or_path: str) -> tuple[int, int]:
         return prof["lut_total"], prof["ff_total"]
     with open(name_or_path) as fh:
         prof = json.load(fh)
-    try:
-        return int(prof["lut_total"]), int(prof["ff_total"])
-    except KeyError as exc:
-        raise DomainError(f"device profile missing field {exc}") from exc
+    if not isinstance(prof, dict):
+        raise DomainError(f"device profile {name_or_path} is not a JSON object")
+    for key in ("lut_total", "ff_total"):
+        if type(prof.get(key)) is not int or prof[key] <= 0:
+            raise DomainError(f"device profile field {key} must be a positive "
+                              f"integer, got {prof.get(key)!r}")
+    return prof["lut_total"], prof["ff_total"]

@@ -3,17 +3,17 @@
 
 The datapath runs rotation-mode hyperbolic CORDIC at 16 internal fractional
 bits over iteration indices 1..8 with the mandatory repeat at 4 (nine
-rotations total). Gain compensation is folded in as one constant multiply
-realized as a PoT shift-add cascade. Tanh divides sinh by cosh (the shared
-gain cancels in the ratio); sigmoid rides on the tanh half-argument
-identity, which keeps everything on the one datapath. Inputs beyond the
-CORDIC convergence range are reduced by repeated argument halving and
-rebuilt with the double-angle identity; inputs past the saturation point of
-the output format are pinned at the largest representable value below one.
+rotations total). Tanh divides sinh by cosh, so the CORDIC gain, shared by
+both, cancels in the ratio and the datapath has no gain-compensation stage;
+sigmoid rides on the tanh half-argument identity, which keeps everything on
+the one datapath. Inputs beyond the CORDIC convergence range are reduced by
+repeated argument halving and rebuilt with the double-angle identity; inputs
+past the saturation point of the output format are pinned at the largest
+representable value below one.
 
 The stage count is fixed at PIPELINE_STAGES, so the rotation schedule, the
-atanh table, the convergence bound and the gain-compensation terms are
-constants built once at import; no caller picks another depth.
+atanh table and the convergence bound are constants built once at import; no
+caller picks another depth.
 
 Everything here is pure; the pipeline itself is a timing model
 (piso_latency), not a stateful object. Array-valued helpers (suffix
@@ -30,15 +30,13 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConvergenceDomainError, DomainError, InvalidSelect
-from .fxp import FxPFormat, FxPValue, msd_decompose
+from .errors import DomainError, InvalidSelect
+from .fxp import FxPValue
 
 __all__ = [
     "AfSelect",
     "INTERNAL_FRAC_BITS",
     "PIPELINE_STAGES",
-    "cordic_sinh_cosh",
-    "convergence_bound",
     "saturation_threshold",
     "af_tanh",
     "af_sigmoid",
@@ -82,27 +80,9 @@ def _iteration_schedule(n: int) -> tuple[int, ...]:
     return tuple(out[:n])
 
 
-def _gain_comp_terms(sched) -> tuple[tuple[int, int], ...]:
-    """PoT terms of the gain-compensation constant c = 1/gain - 1 < 1,
-    applied as v + sum(s * (v >> m))."""
-    gain = 1.0
-    for i in sched:
-        gain *= math.sqrt(1.0 - 4.0 ** (-i))
-    comp = FxPValue(round((1.0 / gain - 1.0) * _ONE), FxPFormat(18, INTERNAL_FRAC_BITS))
-    return tuple(
-        (t.sign, t.shift) for t in msd_decompose(comp, INTERNAL_FRAC_BITS).terms
-    )
-
-
 _SCHEDULE = _iteration_schedule(PIPELINE_STAGES)
 _ATANH = tuple(round(math.atanh(2.0 ** -i) * _ONE) for i in _SCHEDULE)
 _ZMAX = sum(_ATANH)
-_COMP_TERMS = _gain_comp_terms(_SCHEDULE)
-
-
-def convergence_bound() -> float:
-    """Largest |z| the rotation schedule can absorb, in real units."""
-    return _ZMAX / _ONE
 
 
 def _rotate_vec(z):
@@ -117,13 +97,6 @@ def _rotate_vec(z):
         x = x + dx
         y = y + dy
     return y, x
-
-
-def _gain_comp_vec(v):
-    acc = v.copy()
-    for sign, m in _COMP_TERMS:
-        acc += sign * (v >> m)
-    return acc
 
 
 def _div_round_vec(num, den, out_f):
@@ -205,25 +178,6 @@ def relu_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     out = _rescale_round_even_vec(np.maximum(np.asarray(raw, dtype=np.int64), 0),
                                   in_frac_bits, out_frac_bits)
     return np.minimum(out, (1 << out_frac_bits) - 1)
-
-
-def cordic_sinh_cosh(z: FxPValue) -> tuple[int, int]:
-    """Gain-compensated (sinh, cosh) as raw integers at the internal scale.
-
-    Zero input short-circuits to the exact pair (0, 1). Inputs beyond the
-    schedule's convergence range are the caller's problem (range reduction
-    lives in af_tanh / af_sigmoid) and raise here.
-    """
-    if z.raw == 0:
-        return 0, _ONE
-    z_int = int(_to_internal_vec(np.int64(z.raw), z.fmt.frac_bits))
-    if abs(z_int) > _ZMAX:
-        raise ConvergenceDomainError(
-            f"|{z.value}| exceeds convergence bound {convergence_bound():.6f}"
-        )
-    arr = np.array([z_int], dtype=np.int64)
-    y, x = _rotate_vec(arr)
-    return int(_gain_comp_vec(y)[0]), int(_gain_comp_vec(x)[0])
 
 
 def af_tanh(x: FxPValue) -> FxPValue:

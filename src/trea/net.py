@@ -257,10 +257,13 @@ def synth_dataset(
     """Seeded class-conditional patterns: one oriented bar per class with
     jittered position, width, amplitude and additive noise. Bit-exactly
     reproducible from the seed."""
-    if classes < 2:
-        raise DomainError(f"need at least 2 classes, got {classes}")
-    if image_size < 8:
-        raise DomainError(f"image_size must be >= 8, got {image_size}")
+    for name, value, least in (("seed", seed, 0), ("n_train", n_train, 0),
+                               ("n_test", n_test, 0), ("classes", classes, 2),
+                               ("image_size", image_size, 8)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise DomainError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
     tx, ty = _synth_split(rng, n_train, classes, image_size)
     sx, sy = _synth_split(rng, n_test, classes, image_size)
@@ -467,6 +470,8 @@ def _softmax(z):
 def _minibatches(dataset: Dataset, epochs: int, seed: int):
     """The seeded SGD order of both training loops: (inputs, labels)
     minibatches of _BATCH_SIZE over one permutation per epoch."""
+    if epochs < 0:
+        raise DomainError(f"epochs must be >= 0, got {epochs}")
     rng = np.random.default_rng(seed)
     n = len(dataset.train_x)
     for _ in range(epochs):
@@ -573,8 +578,6 @@ def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     if np.abs(wn).max() > top + 1e-12:
         raise DomainError("weights exceed mn normalization; refresh mn_scale")
     w_raw = np.rint(wn * (1 << f)).astype(np.int64)
-    if layer.mask is not None:
-        w_raw = w_raw * layer.mask.flags
     signs = term_table(fmt, layer.precision.terms)
     codes = (w_raw - fmt.raw_min).reshape(layer.out_channels, -1)
     planes = tuple((m, c) for m, c in enumerate(signs.take(codes, axis=1)) if c.any())
@@ -820,6 +823,13 @@ def _int(v):
     return v
 
 
+def _real(v):
+    """A JSON number, as a float; bools and strings are rejected, not coerced."""
+    if type(v) not in (int, float):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
 def _str(v):
     """A JSON string."""
     if type(v) is not str:
@@ -864,7 +874,7 @@ def load_model(path) -> NetworkDescriptor:
         manifest = json.loads(data[mstart:mstart + mlen])
     except json.JSONDecodeError as exc:
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-    version = _manifest_field(manifest, "version", "manifest")
+    version = _manifest_field(manifest, "version", "manifest", _int)
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")
     blob = data[mstart + mlen:]
@@ -898,11 +908,11 @@ def load_model(path) -> NetworkDescriptor:
             LayerDescriptor, where,
             kind=_manifest_field(entry, "kind", where),
             activation=_manifest_field(entry, "activation", where,
-                                       lambda v: AfSelect.from_code(int(v))),
+                                       lambda v: AfSelect.from_code(_int(v))),
             precision=_manifest_field(entry, "precision", where, MacMode),
             weights=weights.copy(),
             bias=bias.copy(),
-            mn_scale=_manifest_field(entry, "mn_scale", where, float),
+            mn_scale=_manifest_field(entry, "mn_scale", where, _real),
             mask=mask,
             stride=_manifest_field(entry, "stride", where, _int, default=1),
             padding=entry.get("padding", "valid"),

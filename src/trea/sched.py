@@ -10,6 +10,7 @@ touches numerics: simulate() scores are the forward_quant scores.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,8 +41,8 @@ class ArrayConfig:
     def __post_init__(self):
         if self.mac_units < 1:
             raise DomainError("mac_units must be >= 1")
-        if self.f_clk <= 0:
-            raise DomainError("f_clk must be positive")
+        if not 0 < self.f_clk < math.inf:
+            raise DomainError("f_clk must be finite and positive")
 
 
 class EventKind(Enum):

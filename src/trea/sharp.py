@@ -9,6 +9,7 @@ budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,8 @@ def assign_precision(model, evaluate, epsilon: float) -> PrecisionAssignment:
     are visited exactly once, so the result is deterministic for a
     deterministic evaluate function.
     """
+    if math.isnan(epsilon):
+        raise DomainError("accuracy budget epsilon is NaN")
     modes = (MacMode.FXP8,) * len(model.layers)
     acc_running = evaluate(apply_assignment(model, PrecisionAssignment(modes, epsilon)))
     for i in range(len(modes)):
@@ -135,7 +138,5 @@ def fine_tune(model, masks, assignment, dataset, epochs: int, lr: float, seed: i
         layer.mask = mask
         layer.weights = layer.weights * mask.flags
         layer.refresh_mn_scale()
-    if epochs > 0:
-        _net.qat_finetune(work, dataset, epochs=epochs, lr=lr, seed=seed)
-    return work
+    return _net.qat_finetune(work, dataset, epochs=epochs, lr=lr, seed=seed)
 

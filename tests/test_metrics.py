@@ -59,6 +59,23 @@ class TestPlatformValidation:
         with pytest.raises(DomainError):
             PlatformNumbers(0, 100, 0, 100, 1.0, 0.0)
 
+    @pytest.mark.parametrize("power, clk", [
+        (float("nan"), 1e6), (float("inf"), 1e6),
+        (1.0, float("nan")), (1.0, float("inf")),
+    ])
+    def test_non_finite_rejected(self, power, clk):
+        with pytest.raises(DomainError):
+            PlatformNumbers(0, 100, 0, 100, power, clk)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sfil_ecpi_rejected(self, bad):
+        with pytest.raises(DomainError):
+            sfil(1, bad)
+        with pytest.raises(DomainError):
+            ecpi(bad, 1e-3)
+        with pytest.raises(DomainError):
+            ecpi(1.0, bad)
+
 
 class TestReports:
     def test_invariants_exact(self):
@@ -106,5 +123,20 @@ class TestDeviceProfiles:
     def test_file_missing_field(self, tmp_path):
         p = tmp_path / "dev.json"
         p.write_text(json.dumps({"name": "x"}))
+        with pytest.raises(DomainError):
+            load_device_profile(str(p))
+
+    @pytest.mark.parametrize("profile", [
+        [303600, 607200],
+        {"lut_total": "x", "ff_total": 20},
+        {"lut_total": 40000.9, "ff_total": 20},
+        {"lut_total": 10, "ff_total": True},
+        {"lut_total": 0, "ff_total": 20},
+        {"lut_total": 10, "ff_total": -20},
+    ], ids=["list", "lut-string", "lut-float", "ff-bool", "lut-zero", "ff-negative"])
+    def test_file_bad_totals(self, tmp_path, profile):
+        # each total must be a positive JSON integer; nothing is coerced with int()
+        p = tmp_path / "dev.json"
+        p.write_text(json.dumps(profile))
         with pytest.raises(DomainError):
             load_device_profile(str(p))

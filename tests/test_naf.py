@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trea import naf
-from trea.errors import ConvergenceDomainError, DomainError, InvalidSelect
+from trea.errors import DomainError, InvalidSelect
 from trea.fxp import FXP8, FxPFormat, FxPValue, decode, encode
 from trea.naf import (
     AfSelect,
@@ -12,14 +12,11 @@ from trea.naf import (
     af_sigmoid,
     af_tanh,
     apply,
-    convergence_bound,
-    cordic_sinh_cosh,
     piso_latency,
     saturation_threshold,
 )
 
 WIDE = FxPFormat(24, 16)
-ONE = 1 << naf.INTERNAL_FRAC_BITS
 
 
 class TestSelect:
@@ -34,26 +31,6 @@ class TestSelect:
 
 
 class TestCordicCore:
-    def test_zero_identity(self):
-        assert cordic_sinh_cosh(FxPValue(0, FXP8)) == (0, ONE)
-
-    def test_half_vs_oracle(self):
-        s, c = cordic_sinh_cosh(encode(0.5, WIDE))
-        assert abs(s / ONE - math.sinh(0.5)) < 0.004
-        assert abs(c / ONE - math.cosh(0.5)) < 0.004
-
-    def test_oracle_over_domain(self):
-        bound = convergence_bound()
-        for z in np.linspace(-bound + 1e-3, bound - 1e-3, 41):
-            s, c = cordic_sinh_cosh(encode(float(z), WIDE))
-            assert abs(s / ONE - math.sinh(z)) < 0.01
-            assert abs(c / ONE - math.cosh(z)) < 0.01
-
-    def test_convergence_domain(self):
-        bound = convergence_bound()
-        with pytest.raises(ConvergenceDomainError):
-            cordic_sinh_cosh(encode(bound + 0.01, WIDE))
-
     def test_schedule_repeats_four(self):
         assert naf._iteration_schedule(9) == (1, 2, 3, 4, 4, 5, 6, 7, 8)
 

@@ -37,6 +37,23 @@ class TestDataset:
         with pytest.raises(DomainError):
             net.synth_dataset(1, 4, 4, image_size=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1),
+        ("n_train", -5),
+        ("n_test", -1),
+        ("seed", "x"),
+        ("seed", True),
+        ("n_train", 10.0),
+        ("n_test", None),
+        ("classes", 3.0),
+        ("image_size", 12.0),
+    ])
+    def test_argument_table_rejects(self, field, value):
+        args = dict(seed=1, n_train=4, n_test=4, classes=3, image_size=8)
+        args[field] = value
+        with pytest.raises(DomainError, match=field):
+            net.synth_dataset(**args)
+
 
 def _naive_conv(x, w, b, stride, padding):
     if padding == "same":
@@ -235,6 +252,11 @@ class TestTrainReference:
         with pytest.raises(DomainError, match="NaN or infinity"):
             net.train_reference("desk", data, epochs=1, lr=0.05, seed=11)
 
+    def test_negative_epochs_rejected(self):
+        data = net.synth_dataset(3, 8, 0)
+        with pytest.raises(DomainError, match="epochs"):
+            net.train_reference("desk", data, epochs=-1, lr=0.1, seed=1)
+
     def test_unknown_preset(self):
         data = net.synth_dataset(3, 8, 0)
         with pytest.raises(DomainError):
@@ -309,13 +331,20 @@ class TestSerialization:
         ("padding", 5),
         ("stride", 0),
         ("input_shape", [1, 12]),
+        ("activation", 1.5),
+        ("activation", "2"),
+        ("activation", True),
+        ("version", True),
+        ("version", 1.0),
+        ("mn_scale", True),
+        ("mn_scale", "1.0"),
     ])
     def test_malformed_manifest_is_format_error(self, desk_model, tmp_path, key, value):
         p = tmp_path / "m.tmdl"
         net.save_model(sharp.prune_model(desk_model), p)   # layer 0 has a mask
 
         def edit(manifest):
-            top = key in ("layers", "input_shape", "seed", "name")
+            top = key in ("layers", "input_shape", "seed", "name", "version")
             target = manifest if top else manifest["layers"][0]
             target[key] = value
 

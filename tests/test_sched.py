@@ -155,3 +155,6 @@ def test_config_validation():
         ArrayConfig(mac_units=0)
     with pytest.raises(DomainError):
         ArrayConfig(f_clk=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            ArrayConfig(f_clk=bad)

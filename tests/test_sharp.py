@@ -140,6 +140,11 @@ class TestAssignPrecision:
         # one baseline call plus one trial per layer
         assert len(calls) == 1 + len(desk_model.layers)
 
+    def test_nan_epsilon_rejected(self, desk_model):
+        # no drop compares greater than a NaN budget, so every layer would go 4-bit
+        with pytest.raises(DomainError):
+            assign_precision(desk_model, lambda m: 1.0, epsilon=float("nan"))
+
 
 class TestFineTune:
     def _pruned(self, desk_model):
@@ -179,3 +184,8 @@ class TestFineTune:
         model, masks, assignment = self._pruned(desk_model)
         with pytest.raises(DomainError):
             fine_tune(model, masks[:-1], assignment, desk_data, epochs=0, lr=0.05)
+
+    def test_negative_epochs_rejected(self, desk_model, desk_data):
+        model, masks, assignment = self._pruned(desk_model)
+        with pytest.raises(DomainError, match="epochs"):
+            fine_tune(model, masks, assignment, desk_data, epochs=-3, lr=0.05)
