@@ -65,7 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--data", required=True)
     s.add_argument("--sample-index", type=int, default=0)
     s.add_argument("--mac-units", type=int, default=100)
-    s.add_argument("--clock-hz", type=float, default=100e6)
+    s.add_argument("--clock-hz", type=float, default=100e6,
+                   help="clock that turns cycles into SFIL and ECPI; cycle counts "
+                        "do not depend on it")
     s.add_argument("--device-profile", default="vc707")
     s.add_argument("--luts-used", type=int, default=0)
     s.add_argument("--ffs-used", type=int, default=0)

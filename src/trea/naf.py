@@ -16,11 +16,12 @@ atanh table and the convergence bound are constants built once at import; no
 caller picks another depth.
 
 Everything here is pure; the pipeline itself is a timing model
-(piso_latency), not a stateful object. Array-valued helpers (suffix
-``_vec``) run the identical integer arithmetic elementwise so batched
-callers get bit-identical results to the scalar ops. All three own their
-output rescale (round-half-even) and saturation below one, so the layer
-boundary in `trea.net` does no arithmetic of its own.
+(piso_latency), not a stateful object. The three units are array-valued
+(suffix ``_vec``) and each owns its output rescale (round-half-even) and
+saturation below one. `activate_raw_vec` is the one place the select is
+decoded: the layer boundary in `trea.net` calls it, and the scalar `apply`
+and `af_*` are one-element views of it, so they cannot disagree with the
+batched path.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "af_sigmoid",
     "af_relu",
     "apply",
+    "activate_raw_vec",
     "piso_latency",
     "tanh_raw_vec",
     "sigmoid_raw_vec",
@@ -90,12 +92,8 @@ def _rotate_vec(z):
     x = np.full_like(z, _ONE)
     y = np.zeros_like(z)
     for i, step in zip(_SCHEDULE, _ATANH):
-        pos = z >= 0
-        dx = np.where(pos, y >> i, -(y >> i))
-        dy = np.where(pos, x >> i, -(x >> i))
-        z = z - np.where(pos, step, -step)
-        x = x + dx
-        y = y + dy
+        d = np.where(z >= 0, 1, -1)     # rotation direction of this stage
+        x, y, z = x + d * (y >> i), y + d * (x >> i), z - d * step
     return y, x
 
 
@@ -180,28 +178,34 @@ def relu_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     return np.minimum(out, (1 << out_frac_bits) - 1)
 
 
-def af_tanh(x: FxPValue) -> FxPValue:
-    out = tanh_raw_vec(np.array([x.raw], dtype=np.int64), x.fmt.frac_bits, x.fmt.frac_bits)
-    return FxPValue(int(out[0]), x.fmt)
-
-
-def af_sigmoid(x: FxPValue) -> FxPValue:
-    out = sigmoid_raw_vec(np.array([x.raw], dtype=np.int64), x.fmt.frac_bits, x.fmt.frac_bits)
-    return FxPValue(int(out[0]), x.fmt)
-
-
-def af_relu(x: FxPValue) -> FxPValue:
-    return FxPValue(max(0, x.raw), x.fmt)
+def activate_raw_vec(sel: AfSelect | int, raw, in_frac_bits: int, out_frac_bits: int):
+    """The 2-bit select over raw integers: the selected unit's output at
+    `out_frac_bits`, elementwise. Reserved codes raise `InvalidSelect`."""
+    sel = AfSelect.from_code(int(sel))
+    if sel is AfSelect.RELU:
+        return relu_raw_vec(raw, in_frac_bits, out_frac_bits)
+    if sel is AfSelect.SIGMOID:
+        return sigmoid_raw_vec(raw, in_frac_bits, out_frac_bits)
+    return tanh_raw_vec(raw, in_frac_bits, out_frac_bits)
 
 
 def apply(sel: AfSelect | int, x: FxPValue) -> FxPValue:
-    """Dispatch on the 2-bit select; bit-identical to the direct call."""
-    sel = AfSelect.from_code(int(sel))
-    if sel is AfSelect.RELU:
-        return af_relu(x)
-    if sel is AfSelect.SIGMOID:
-        return af_sigmoid(x)
-    return af_tanh(x)
+    """One value through `activate_raw_vec`, in and out at x's format."""
+    f = x.fmt.frac_bits
+    out = activate_raw_vec(sel, np.array([x.raw], dtype=np.int64), f, f)
+    return FxPValue(int(out[0]), x.fmt)
+
+
+def af_tanh(x: FxPValue) -> FxPValue:
+    return apply(AfSelect.TANH, x)
+
+
+def af_sigmoid(x: FxPValue) -> FxPValue:
+    return apply(AfSelect.SIGMOID, x)
+
+
+def af_relu(x: FxPValue) -> FxPValue:
+    return apply(AfSelect.RELU, x)
 
 
 def piso_latency(n_outputs: int) -> int:

@@ -5,9 +5,10 @@ The float path is the oracle: double precision conv/dense plus exact
 activation functions. The quantized path is bit-accurate: activations and
 weights live as raw integers, every multiply is the truncated shift-and-add
 PoT product at the layer's precision, accumulators are width-checked, and
-activations go through the CORDIC unit, which rescales them to the layer
-boundary's format. Boundary and model-input conversions saturate (hardware
-requantization); `fxp.encode` stays strict. Non-finite input is rejected.
+activations go through `naf.activate_raw_vec`, which decodes the layer's
+select and rescales to the layer boundary's format. Boundary and model-input
+conversions saturate (hardware requantization); `fxp.encode` stays strict.
+Non-finite input is rejected.
 
 The datapath is fixed, not configured: inter-layer activations are
 BOUNDARY_FMT (FxP8), every activation runs through `naf`'s one 9-stage
@@ -19,14 +20,16 @@ dense), one dot product per row and output channel gives the
 pre-activations, and `_fold` lays the activations out as the next layer's
 input. Every pass caches the same per-layer record for `_backward`.
 
-The quantized accumulate is one shift-plane kernel. Each weight's greedy PoT
-terms, read from `fxp.term_table` at the mode's format and depth, are grouped
-by shift m into a signed term matrix C_m, and a layer's accumulators are
-bias + sum_m (x >> m) @ C_m.T: one exact float64 matmul per shift in use, with
-the shift applied per operand and flooring as the hardware truncates.
+The quantized accumulate is one shift-plane kernel, and the planes are the
+only encoding of a layer's weights: `_prepare_layer` reads each weight's
+greedy PoT terms from `fxp.term_table` at the mode's format and depth and
+groups them by shift m into a signed term matrix C_m. A layer's accumulators
+are bias + sum_m (x >> m) @ C_m.T: one exact float64 matmul per shift in use,
+with the shift applied per operand and flooring as the hardware truncates.
 Overflow keeps the hardware's per-add semantics: a cheap bound on every
 prefix sum screens the outputs, and only those it cannot clear are replayed
-term by term in hardware order.
+from the planes term by term in hardware order. QAT's effective weights are
+sum_m 2**-m C_m times mn_scale.
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ MODEL_VERSION = 1
 @dataclass(frozen=True)
 class SparsityMask:
     """Boolean retention flags plus the exact per-window retained count
-    (built by `trea.sharp`'s pruning and by `load_model`)."""
+    (built by `trea.sharp`'s pruning and by `load_model`). A conv mask keeps
+    exactly `retained_per_window` weights in every kernel window, the count
+    the cycle accounting charges."""
 
     flags: np.ndarray
     retained_per_window: int
@@ -94,6 +99,11 @@ class SparsityMask:
         flags = np.ascontiguousarray(self.flags, dtype=bool)
         flags.setflags(write=False)  # masks are frozen once built
         object.__setattr__(self, "flags", flags)
+        if flags.ndim == 4 and np.any(flags.sum(axis=(2, 3)) != self.retained_per_window):
+            raise ShapeMismatch(
+                f"mask keeps other than retained_per_window = "
+                f"{self.retained_per_window} weights in some kernel window"
+            )
 
     @property
     def total_retained(self) -> int:
@@ -448,8 +458,7 @@ def _float_pass(model: NetworkDescriptor, x):
         wmat = layer.masked_weights().reshape(layer.out_channels, -1)
         z = cols @ wmat.T + layer.bias
         a = _af_float(layer.activation, z)
-        caches.append(dict(layer=layer, cols=cols, z=z, a=a, wmat=wmat,
-                           in_shape=act.shape))
+        caches.append(dict(cols=cols, z=z, a=a, wmat=wmat, in_shape=act.shape))
         act = _fold(a, layer, hw)
     return z, act, caches
 
@@ -467,11 +476,13 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _minibatches(dataset: Dataset, epochs: int, seed: int):
+def _minibatches(dataset: Dataset, epochs: int, lr: float, seed: int):
     """The seeded SGD order of both training loops: (inputs, labels)
     minibatches of _BATCH_SIZE over one permutation per epoch."""
     if epochs < 0:
         raise DomainError(f"epochs must be >= 0, got {epochs}")
+    if not 0 <= lr < math.inf:
+        raise DomainError(f"learning rate must be finite and >= 0, got {lr}")
     rng = np.random.default_rng(seed)
     n = len(dataset.train_x)
     for _ in range(epochs):
@@ -537,7 +548,7 @@ def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
         arch = desk_arch(dataset.classes)
     model = build_network(arch, input_shape, seed, name=name)
     _check_input(model, dataset.train_x)
-    for x, y in _minibatches(dataset, epochs, seed):
+    for x, y in _minibatches(dataset, epochs, lr, seed):
         logits, _, caches = _float_pass(model, x)
         _backward(model, caches, logits, y, lr)
     for layer in model.layers:
@@ -559,10 +570,8 @@ def _sat_encode_raw(values, fmt: FxPFormat):
 @dataclass
 class _QuantLayer:
     layer: LayerDescriptor
-    w_raw: np.ndarray              # int, encoded normalized weights (masked)
     bias_raw: np.ndarray           # accumulator-scale preload per output
     acc_limit: int                 # overflow bound at the Eq-width
-    w_eff: np.ndarray              # PoT-approximated weights * mn_scale
     planes: tuple                  # (m, C_m) per shift in use; C_m signed (out, K)
     reach: np.ndarray              # per output: sum of 2**(F-m) over all terms
 
@@ -570,26 +579,23 @@ class _QuantLayer:
 def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     fmt = layer.precision.fmt
     f = fmt.frac_bits
-    wm = layer.masked_weights()
-    wn = wm / layer.mn_scale
+    wn = layer.masked_weights() / layer.mn_scale
     top = 1.0 - fmt.lsb
     if not (np.isfinite(wn).all() and np.isfinite(layer.bias / layer.mn_scale).all()):
         raise DomainError("weights, bias or mn_scale are not finite")
     if np.abs(wn).max() > top + 1e-12:
         raise DomainError("weights exceed mn normalization; refresh mn_scale")
-    w_raw = np.rint(wn * (1 << f)).astype(np.int64)
+    codes = np.rint(wn * (1 << f)).astype(np.int64).reshape(layer.out_channels, -1)
     signs = term_table(fmt, layer.precision.terms)
-    codes = (w_raw - fmt.raw_min).reshape(layer.out_channels, -1)
-    planes = tuple((m, c) for m, c in enumerate(signs.take(codes, axis=1)) if c.any())
-    # per code: sum_m s * 2**-m and sum_m |s| * 2**(F-m), exact (dyadic terms)
-    approx = (2.0 ** -np.arange(f + 1) @ signs)[codes]
-    reach = (2.0 ** (f - np.arange(f + 1)) @ np.abs(signs))[codes].sum(axis=1)
+    planes = tuple((m, c) for m, c in enumerate(signs.take(codes - fmt.raw_min, axis=1))
+                   if c.any())
+    reach = sum((2.0 ** (f - m) * np.abs(c).sum(axis=1) for m, c in planes),
+                np.zeros(layer.out_channels))
     bias_raw = np.rint(layer.bias / layer.mn_scale * (1 << f)).astype(np.int64)
     k = layer.retained_per_output()
     has_bias = bool(np.any(bias_raw))
     width = accumulator_width(fmt.total_bits, k + (1 if has_bias else 0))
-    w_eff = (approx * layer.mn_scale).reshape(w_raw.shape)
-    return _QuantLayer(layer, w_raw, bias_raw, 1 << (width - 1), w_eff, planes, reach)
+    return _QuantLayer(layer, bias_raw, 1 << (width - 1), planes, reach)
 
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
@@ -645,8 +651,7 @@ def _check_overflow(q: _QuantLayer, x):
     suspect = np.flatnonzero(bound > lim - 1)
     if not suspect.size:
         return
-    signs = term_table(fmt, q.layer.precision.terms)
-    wmat = q.w_raw.reshape(q.layer.out_channels, -1)
+    shifts = [m for m, _ in q.planes]
 
     def check(a, o, j):
         if int(a.max()) > lim - 1 or int(a.min()) < -lim:
@@ -657,23 +662,11 @@ def _check_overflow(q: _QuantLayer, x):
     for o in suspect:
         a = np.full(len(x), q.bias_raw[o], dtype=np.int64)
         check(a, o, "bias")
-        for j in np.flatnonzero(wmat[o]):
-            code = signs[:, wmat[o, j] - fmt.raw_min]
-            for m in np.flatnonzero(code):
-                a += int(code[m]) * (x[:, j] >> m)
+        terms = np.array([c[o] for _, c in q.planes]).reshape(-1, x.shape[1])
+        for j in np.flatnonzero(terms.any(axis=0)):
+            for p in np.flatnonzero(terms[:, j]):
+                a += int(terms[p, j]) * (x[:, j] >> shifts[p])
                 check(a, o, j)
-
-
-def _boundary_raw(sel: AfSelect, pre_true):
-    """Quantize true-scale pre-activations into the wide AF input format and
-    run the activation unit, which emits boundary-format raw activations."""
-    wide = _sat_encode_raw(pre_true, WIDE_FMT)
-    fi, fo = WIDE_FMT.frac_bits, BOUNDARY_FMT.frac_bits
-    if sel is AfSelect.RELU:
-        return naf.relu_raw_vec(wide, fi, fo)
-    if sel is AfSelect.SIGMOID:
-        return naf.sigmoid_raw_vec(wide, fi, fo)
-    return naf.tanh_raw_vec(wide, fi, fo)
 
 
 def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
@@ -691,14 +684,18 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         cols, hw = _layer_rows(layer, x_raw)
         acc = _accumulate(q, cols)
         pre_true = acc.astype(np.float64) * fmt.lsb * layer.mn_scale
-        bound_raw = _boundary_raw(layer.activation, pre_true)
+        bound_raw = naf.activate_raw_vec(layer.activation,
+                                         _sat_encode_raw(pre_true, WIDE_FMT),
+                                         WIDE_FMT.frac_bits, BOUNDARY_FMT.frac_bits)
         if with_cache:
+            # the PoT-approximated weights, exact: every term is dyadic
+            approx = sum((c * 2.0 ** -m for m, c in q.planes),
+                         np.zeros((layer.out_channels, cols.shape[-1])))
             caches.append(dict(
-                layer=layer,
                 cols=cols.astype(np.float64) * fmt.lsb,
                 z=pre_true,
                 a=bound_raw.astype(np.float64) * BOUNDARY_FMT.lsb,
-                wmat=q.w_eff.reshape(layer.out_channels, -1),
+                wmat=approx * layer.mn_scale,
                 in_shape=x_raw.shape,
             ))
         act_raw = _fold(bound_raw, layer, hw)
@@ -741,7 +738,7 @@ def qat_finetune(model: NetworkDescriptor, dataset: Dataset, epochs: int, lr: fl
     only; masks and precision assignments are untouched. mn scales refresh
     after every step so encoded weights stay in range.
     """
-    for x, y in _minibatches(dataset, epochs, seed):
+    for x, y in _minibatches(dataset, epochs, lr, seed):
         logits, _, caches = _quant_pass(model, x, with_cache=True)
         _backward(model, caches, logits, y, lr)
         for layer in model.layers:
@@ -896,14 +893,8 @@ def load_model(path) -> NetworkDescriptor:
             bits = np.unpackbits(
                 _blob_array(blob, entry, "mask_offset", where, np.uint8, -(-wn // 8))
             )[:wn]
-            flags = bits.astype(bool).reshape(shape)
-            # the cycle accounting charges every conv window `retained` operands
-            if len(shape) == 4 and np.any(flags.sum(axis=(2, 3)) != retained):
-                raise FormatError(
-                    f"{where} mask keeps other than retained_per_window = "
-                    f"{retained} weights in some kernel window"
-                )
-            mask = SparsityMask(flags, retained)
+            mask = _build(SparsityMask, where, flags=bits.astype(bool).reshape(shape),
+                          retained_per_window=retained)
         layers.append(_build(
             LayerDescriptor, where,
             kind=_manifest_field(entry, "kind", where),

@@ -27,6 +27,7 @@ __all__ = [
     "prune_conv_weights",
     "prune_model",
     "assign_precision",
+    "apply_assignment",
     "fine_tune",
     "kernel_cycles",
 ]

@@ -51,6 +51,14 @@ def random_topology(rng: np.random.Generator):
     return model, x
 
 
+def weight_codes(layer):
+    """The layer's masked, mn-normalized weights as raw codes at its format,
+    (out, K): the operands the scalar MAC oracle multiplies by."""
+    one = 1 << layer.precision.fmt.frac_bits
+    wn = layer.masked_weights() / layer.mn_scale
+    return np.rint(wn * one).astype(np.int64).reshape(layer.out_channels, -1)
+
+
 def rewrite_manifest(path, edit):
     """Apply `edit` to the JSON manifest of a saved model file in place,
     keeping the magic and the weight blob."""

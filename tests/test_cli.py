@@ -192,43 +192,57 @@ _TRAIN_BAD = ["train", "--data", "{bad}", "--seed", "1", "--out", "{out}"]
 _SIM_BAD_PROFILE = _SIM + ["--device-profile", "{bad}"]
 
 
-@pytest.mark.parametrize("argv, bad_json", [
-    pytest.param(_SIM + ["--clock-hz", "nan"], None, id="clock-hz-nan"),
-    pytest.param(_SIM + ["--clock-hz", "inf"], None, id="clock-hz-inf"),
-    pytest.param(_SIM + ["--power-watts", "nan"], None, id="power-watts-nan"),
-    pytest.param(_SIM + ["--power-watts", "inf"], None, id="power-watts-inf"),
+_DOMAIN = "DomainError"
+
+
+@pytest.mark.parametrize("argv, bad_json, error", [
+    pytest.param(_SIM + ["--clock-hz", "nan"], None, _DOMAIN, id="clock-hz-nan"),
+    pytest.param(_SIM + ["--clock-hz", "inf"], None, _DOMAIN, id="clock-hz-inf"),
+    pytest.param(_SIM + ["--power-watts", "nan"], None, _DOMAIN, id="power-watts-nan"),
+    pytest.param(_SIM + ["--power-watts", "inf"], None, _DOMAIN, id="power-watts-inf"),
     pytest.param(["quantize", "--model", "{model}", "--data", "{data}",
-                  "--epsilon", "nan", "--out", "{out}"], None, id="epsilon-nan"),
+                  "--epsilon", "nan", "--out", "{out}"], None, _DOMAIN, id="epsilon-nan"),
     pytest.param(["train", "--data", "{data}", "--epochs", "-1", "--seed", "1",
-                  "--out", "{out}"], None, id="train-epochs-negative"),
+                  "--out", "{out}"], None, _DOMAIN, id="train-epochs-negative"),
     pytest.param(["finetune", "--model", "{model}", "--data", "{data}",
                   "--epochs", "-3", "--seed", "1", "--out", "{out}"],
-                 None, id="finetune-epochs-negative"),
-    pytest.param(["gen-data", "--seed", "-1", "--out", "{out}"], None,
+                 None, _DOMAIN, id="finetune-epochs-negative"),
+    pytest.param(["train", "--data", "{data}", "--lr", "-1", "--seed", "1",
+                  "--out", "{out}"], None, _DOMAIN, id="train-lr-negative"),
+    pytest.param(["finetune", "--model", "{model}", "--data", "{data}",
+                  "--lr", "-1", "--seed", "1", "--out", "{out}"],
+                 None, _DOMAIN, id="finetune-lr-negative"),
+    pytest.param(["train", "--data", "{data}", "--lr", "nan", "--seed", "1",
+                  "--out", "{out}"], None, _DOMAIN, id="train-lr-nan"),
+    pytest.param(["train", "--data", "{data}", "--lr", "inf", "--seed", "1",
+                  "--out", "{out}"], None, _DOMAIN, id="train-lr-inf"),
+    pytest.param(["gen-data", "--seed", "-1", "--out", "{out}"], None, _DOMAIN,
                  id="gen-data-seed-negative"),
     pytest.param(["gen-data", "--seed", "1", "--n-train", "-5", "--out", "{out}"],
-                 None, id="gen-data-n-train-negative"),
-    pytest.param(_TRAIN_BAD, [1, 2], id="descriptor-list"),
-    pytest.param(_TRAIN_BAD, {**_DATA, "seed": "x"}, id="descriptor-seed-string"),
-    pytest.param(_TRAIN_BAD, {**_DATA, "seed": True}, id="descriptor-seed-bool"),
-    pytest.param(_TRAIN_BAD, {**_DATA, "n_train": 10.0}, id="descriptor-n-train-float"),
-    pytest.param(_SIM_BAD_PROFILE, [303600, 607200], id="profile-list"),
-    pytest.param(_SIM_BAD_PROFILE, {"lut_total": "x", "ff_total": 607200},
+                 None, _DOMAIN, id="gen-data-n-train-negative"),
+    pytest.param(_TRAIN_BAD, [1, 2], "TreaError", id="descriptor-list"),
+    pytest.param(_TRAIN_BAD, {**_DATA, "seed": "x"}, _DOMAIN, id="descriptor-seed-string"),
+    pytest.param(_TRAIN_BAD, {**_DATA, "seed": True}, _DOMAIN, id="descriptor-seed-bool"),
+    pytest.param(_TRAIN_BAD, {**_DATA, "n_train": 10.0}, _DOMAIN,
+                 id="descriptor-n-train-float"),
+    pytest.param(_SIM_BAD_PROFILE, [303600, 607200], _DOMAIN, id="profile-list"),
+    pytest.param(_SIM_BAD_PROFILE, {"lut_total": "x", "ff_total": 607200}, _DOMAIN,
                  id="profile-lut-string"),
-    pytest.param(_SIM_BAD_PROFILE, {"lut_total": 40000.9, "ff_total": 607200},
+    pytest.param(_SIM_BAD_PROFILE, {"lut_total": 40000.9, "ff_total": 607200}, _DOMAIN,
                  id="profile-lut-float"),
-    pytest.param(_SIM_BAD_PROFILE, {"lut_total": 303600, "ff_total": True},
+    pytest.param(_SIM_BAD_PROFILE, {"lut_total": 303600, "ff_total": True}, _DOMAIN,
                  id="profile-ff-bool"),
 ])
 def test_rejected_input_exits_3_without_output(pipeline, tmp_path, capsys, argv,
-                                               bad_json):
-    # the README's contract: exit 3, one JSON error on stderr, nothing written
+                                               bad_json, error):
+    # the README's contract: exit 3, one JSON error on stderr naming the
+    # error type, nothing written
     paths = {"model": pipeline["tuned"], "data": pipeline["data"],
              "out": tmp_path / "out", "report": tmp_path / "report.csv",
              "bad": tmp_path / "bad.json"}
     if bad_json is not None:
         paths["bad"].write_text(json.dumps(bad_json))
     assert _run([a.format(**paths) for a in argv]) == 3
-    assert json.loads(capsys.readouterr().err)["error"]
+    assert json.loads(capsys.readouterr().err)["error"] == error
     assert not paths["out"].exists()
     assert not paths["report"].exists()

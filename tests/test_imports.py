@@ -7,6 +7,8 @@ another's `_`-private names either: a rule one module needs from another is
 that module's public API, so it has one owner."""
 
 import ast
+import importlib
+import inspect
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -78,3 +80,19 @@ def test_no_module_uses_another_modules_private_names():
                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                  and node.value.id in modules and _private(node.attr)]
     assert not uses, f"private names used across modules: {uses}"
+
+
+def test_all_lists_exactly_the_public_api():
+    # in every module that declares `__all__`, each listed name resolves
+    # under `import *` and each public function or class the module defines
+    # is listed
+    for name in ["trea"] + [f"trea.{m}" for m in MODULES if m != "__init__"]:
+        module = importlib.import_module(name)
+        if not hasattr(module, "__all__"):
+            continue
+        exec(f"from {name} import *", {})
+        defined = {k for k, v in vars(module).items()
+                   if not k.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
+                   and v.__module__ == name}
+        missing = sorted(defined - set(module.__all__))
+        assert not missing, f"{name}.__all__ misses {missing}"

@@ -8,7 +8,7 @@ hardware order the kernel must reproduce, including where it overflows.
 import numpy as np
 import pytest
 
-from conftest import random_topology
+from conftest import random_topology, weight_codes
 from trea import net
 from trea.errors import AccumulatorOverflow, DomainError
 from trea.fxp import FxPValue, msd_decompose
@@ -64,7 +64,7 @@ def _oracle(q, x):
     layer = q.layer
     mode, fmt = layer.precision, layer.precision.fmt
     width = q.acc_limit.bit_length()
-    wmat = q.w_raw.reshape(layer.out_channels, -1)
+    wmat = weight_codes(layer)
     retained = (layer.mask.flags.reshape(layer.out_channels, -1)
                 if layer.mask is not None else np.ones(wmat.shape, dtype=bool))
     rows = x.reshape(-1, x.shape[-1])
@@ -157,6 +157,20 @@ def test_batched_forward_rows_equal_single_calls(seed):
     batched = net.forward_quant(model, xs)
     for row, xi in zip(batched, xs):
         np.testing.assert_array_equal(row, net.forward_quant(model, xi))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_qat_effective_weights_match_scalar_decomposition(seed):
+    # the weights QAT's backward pass sees are each weight's PoT
+    # approximation times mn_scale, bit for bit
+    rng = np.random.default_rng(3000 + seed)
+    model, x = random_topology(rng)
+    _, _, caches = net._quant_pass(model, x, with_cache=True)
+    for layer, cache in zip(model.layers, caches):
+        mode = layer.precision
+        want = [[float(msd_decompose(FxPValue(int(c), mode.fmt), mode.terms).approximation())
+                 * layer.mn_scale for c in row] for row in weight_codes(layer)]
+        np.testing.assert_array_equal(cache["wmat"], want)
 
 
 @pytest.mark.parametrize("field, poke", [

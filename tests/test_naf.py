@@ -122,11 +122,20 @@ class TestRelu:
 
 class TestApply:
     def test_dispatch_bit_equal_exhaustive(self):
+        # the scalar views equal the batched select at the value's own
+        # format: all of FxP8 and a sample of the wide format, past one
         direct = {0: af_relu, 1: af_sigmoid, 2: af_tanh}
-        for code, fn in direct.items():
-            for raw in range(-128, 128):
-                x = FxPValue(raw, FXP8)
-                assert apply(code, x).raw == fn(x).raw
+        wide = np.random.default_rng(4).integers(WIDE.raw_min, WIDE.raw_max + 1, size=300)
+        for fmt, raws in ((FXP8, np.arange(-128, 128)), (WIDE, wide)):
+            f = fmt.frac_bits
+            for code, fn in direct.items():
+                want = naf.activate_raw_vec(code, raws, f, f)
+                for raw, w in zip(raws, want):
+                    x = FxPValue(int(raw), fmt)
+                    assert apply(code, x).raw == fn(x).raw == w
+
+    def test_relu_saturates_below_one(self):
+        assert apply(AfSelect.RELU, FxPValue(3 << 16, WIDE)).raw == (1 << 16) - 1
 
     def test_examples(self):
         assert apply(0, encode(-1.0, FXP8)).raw == 0
@@ -135,6 +144,8 @@ class TestApply:
     def test_reserved(self):
         with pytest.raises(InvalidSelect):
             apply(3, FxPValue(0, FXP8))
+        with pytest.raises(InvalidSelect):
+            naf.activate_raw_vec(3, np.zeros(2, dtype=np.int64), 7, 7)
 
 
 class TestPiso:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_topology, rewrite_manifest
+from conftest import random_topology, rewrite_manifest, weight_codes
 from trea import net, sched, sharp
 from trea.errors import DivergenceError, DomainError, FormatError, ShapeMismatch
 from trea.fxp import FXP8, error_bound, FxPValue
@@ -167,7 +167,7 @@ class TestForwardQuant:
             quant_pre = acc.astype(np.float64) * fmt.lsb * layer.mn_scale
             # float path fed the decoded quantized operands
             x_dec = x_raw.astype(np.float64) * fmt.lsb
-            w_dec = q.w_raw.astype(np.float64) * fmt.lsb * layer.mn_scale
+            w_dec = weight_codes(layer) * fmt.lsb * layer.mn_scale
             b_dec = q.bias_raw.astype(np.float64) * fmt.lsb * layer.mn_scale
             float_pre = x_dec @ w_dec.T + b_dec
             bound = sum(
@@ -191,7 +191,7 @@ class TestForwardQuant:
         acc = net._accumulate(q, x_raw)
         xs = [FxPValue(int(r), FXP8) for r in x_raw[0]]
         for o in range(out):
-            ws = [FxPValue(int(r), FXP8) for r in q.w_raw[o]]
+            ws = [FxPValue(int(r), FXP8) for r in weight_codes(layer)[o]]
             value, _ = dot_product(xs, ws, MacMode.FXP8, FxPValue(0, FXP8))
             assert value.raw == int(acc[0, o])
 
@@ -395,6 +395,18 @@ class TestDescriptors:
                                    np.zeros((1, 4, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeMismatch):
             net.NetworkDescriptor("bad", (1, 4, 4), [dense, conv])
+
+
+    def test_conv_mask_keeps_retained_per_window_in_every_window(self):
+        # `sched` charges retained_per_window operands per window while the
+        # forward pass uses the flags, so the two must agree
+        assert net.SparsityMask(np.ones((2, 1, 3, 3), dtype=bool), 9).total_retained == 18
+        with pytest.raises(ShapeMismatch, match="retained_per_window = 4"):
+            net.SparsityMask(np.ones((2, 1, 3, 3), dtype=bool), 4)
+        holed = np.ones((2, 1, 3, 3), dtype=bool)
+        holed[1, 0, 0, 0] = False
+        with pytest.raises(ShapeMismatch, match="retained_per_window = 9"):
+            net.SparsityMask(holed, 9)
 
 
 class TestBackward:
