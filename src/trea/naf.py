@@ -15,13 +15,19 @@ The stage count is fixed at PIPELINE_STAGES, so the rotation schedule, the
 atanh table and the convergence bound are constants built once at import; no
 caller picks another depth.
 
-Everything here is pure; the pipeline itself is a timing model
-(piso_latency), not a stateful object. The three units are array-valued
-(suffix ``_vec``) and each owns its output rescale (round-half-even) and
-saturation below one. `activate_raw_vec` is the one place the select is
-decoded: the layer boundary in `trea.net` calls it, and the scalar `apply`
-and `af_*` are one-element views of it, so they cannot disagree with the
-batched path.
+The CORDIC does not run per call. Tanh and sigmoid both reduce to the 16-bit
+internal tanh of one internal-scale argument, and `_tanh_internal_vec`, the
+CORDIC, fills a lazily built table of those outputs one block of codes at a
+time; both units read that one table at every format pair. The CORDIC stays
+the table's builder and the oracle the tests hold the table to.
+
+Every function here is pure: the table only caches what the CORDIC returns,
+and the pipeline itself is a timing model (piso_latency), not a stateful
+object. The three units are array-valued (suffix ``_vec``) and each owns its
+output rescale (round-half-even) and saturation below one.
+`activate_raw_vec` is the one place the select is decoded: the layer
+boundary in `trea.net` calls it, and the scalar `apply` and `af_*` are
+one-element views of it, so they cannot disagree with the batched path.
 """
 
 from __future__ import annotations
@@ -64,9 +70,13 @@ class AfSelect(IntEnum):
 
     @classmethod
     def from_code(cls, code: int) -> "AfSelect":
+        """The select for an integer code; any other type, a bool included,
+        and the reserved code raise `InvalidSelect`."""
+        if isinstance(code, bool) or not isinstance(code, (int, np.integer)):
+            raise InvalidSelect(f"activation select must be an integer code, got {code!r}")
         if code not in (0, 1, 2):
             raise InvalidSelect(f"activation select code {code} is reserved")
-        return cls(code)
+        return cls(int(code))
 
 
 def _iteration_schedule(n: int) -> tuple[int, ...]:
@@ -143,6 +153,47 @@ def _tanh_internal_vec(z):
     return sign * t
 
 
+# The internal tanh is a pure function of z, so the units read it from one
+# table of t(|z|) for |z| < 2**19, and `_tanh_internal_vec` is only the
+# table's builder and the tests' oracle. Larger |z| read the last entry, which
+# is exact: t(z) == _ONE for every z in [409344, 2**23) (checked
+# exhaustively); past _ZMAX the range reduction halves, so t(z) = D(t(z >> 1))
+# with D the double-angle step, and D(_ONE) == _ONE, so by induction
+# t(z) == _ONE for every z >= 409344. Blocks of 2**12 codes are filled on
+# first use, since a full fill costs more than a small workload's whole setup.
+# The int32 table is 2 MiB, under the 4 MiB from which numpy asks for huge
+# pages, so only the blocks written become resident.
+_TABLE_BITS = 19
+_BLOCK_BITS = 12
+_TABLE = np.zeros(1 << _TABLE_BITS, dtype=np.int32)
+_FILLED = np.zeros(1 << (_TABLE_BITS - _BLOCK_BITS), dtype=bool)
+_table_complete = False
+
+
+def _fill_blocks(blocks):
+    """Run the CORDIC over every unfilled block among `blocks`, one block at
+    a time: that is as fast as one call over them all, and its temporaries
+    stay small (a call over 37 blocks raised the peak RSS by 12 MiB)."""
+    global _table_complete
+    missing = ~_FILLED[blocks]
+    if missing.any():
+        for b in np.unique(blocks[missing]):
+            lo, hi = int(b) << _BLOCK_BITS, int(b + 1) << _BLOCK_BITS
+            _TABLE[lo:hi] = _tanh_internal_vec(np.arange(lo, hi))
+            _FILLED[b] = True
+        _table_complete = bool(_FILLED.all())
+
+
+def _tanh_lookup_vec(z):
+    """`_tanh_internal_vec(z)` read from the table, as a new int64 array."""
+    # |z| as unsigned, so that -2**63, which has no positive twin, saturates
+    a = np.minimum(np.abs(z).view(np.uint64), len(_TABLE) - 1).view(np.int64)
+    if not _table_complete:
+        _fill_blocks(a >> _BLOCK_BITS)
+    t = _TABLE[a].astype(np.int64)
+    return np.where(z < 0, -t, t)
+
+
 def saturation_threshold(frac_bits: int) -> float:
     """Smallest input whose true tanh rounds to the top code of an output
     format with `frac_bits` fractional bits (derived from the oracle, not
@@ -156,7 +207,7 @@ def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     z = _to_internal_vec(raw, in_frac_bits)
     top = (1 << out_frac_bits) - 1
     sat = round(saturation_threshold(out_frac_bits) * _ONE)
-    t = _tanh_internal_vec(z)
+    t = _tanh_lookup_vec(z)
     out = _rescale_round_even_vec(t, INTERNAL_FRAC_BITS, out_frac_bits)
     out = np.clip(out, -top, top)
     return np.where(np.abs(z) >= sat, np.where(z < 0, -top, top), out)
@@ -165,7 +216,7 @@ def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
 def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point sigmoid via (1 + tanh(x/2)) / 2; the halving
     is exact at the internal scale."""
-    t = _tanh_internal_vec(_to_internal_vec(raw, in_frac_bits + 1))
+    t = _tanh_lookup_vec(_to_internal_vec(raw, in_frac_bits + 1))
     # 1 + tanh is the sigmoid at one extra fractional bit
     out = _rescale_round_even_vec(_ONE + t, INTERNAL_FRAC_BITS + 1, out_frac_bits)
     return np.clip(out, 0, (1 << out_frac_bits) - 1)
@@ -180,8 +231,9 @@ def relu_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
 
 def activate_raw_vec(sel: AfSelect | int, raw, in_frac_bits: int, out_frac_bits: int):
     """The 2-bit select over raw integers: the selected unit's output at
-    `out_frac_bits`, elementwise. Reserved codes raise `InvalidSelect`."""
-    sel = AfSelect.from_code(int(sel))
+    `out_frac_bits`, elementwise. Reserved codes and selects that are not
+    integers raise `InvalidSelect`."""
+    sel = AfSelect.from_code(sel)
     if sel is AfSelect.RELU:
         return relu_raw_vec(raw, in_frac_bits, out_frac_bits)
     if sel is AfSelect.SIGMOID:

@@ -96,7 +96,7 @@ class SparsityMask:
     retained_per_window: int
 
     def __post_init__(self):
-        flags = np.ascontiguousarray(self.flags, dtype=bool)
+        flags = np.array(self.flags, dtype=bool)  # a copy: the caller's array stays writable
         flags.setflags(write=False)  # masks are frozen once built
         object.__setattr__(self, "flags", flags)
         if flags.ndim == 4 and np.any(flags.sum(axis=(2, 3)) != self.retained_per_window):

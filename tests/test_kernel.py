@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_topology, weight_codes
-from trea import net
+from trea import naf, net
 from trea.errors import AccumulatorOverflow, DomainError
 from trea.fxp import FxPValue, msd_decompose
 from trea.mac import Accumulator, dot_product, mac_step
@@ -157,6 +157,48 @@ def test_batched_forward_rows_equal_single_calls(seed):
     batched = net.forward_quant(model, xs)
     for row, xi in zip(batched, xs):
         np.testing.assert_array_equal(row, net.forward_quant(model, xi))
+
+
+def _scalar_forward(model, xs):
+    """Scores through the scalar chain: each layer's outputs one by one from
+    `mac.dot_product`, encoded to the wide format, activated with the
+    internal tanh computed by the CORDIC (the caller patches out the table),
+    then folded into the next layer's input layout."""
+    act = net._sat_encode_raw(xs, net.BOUNDARY_FMT)
+    for layer in model.layers:
+        mode, fmt = layer.precision, layer.precision.fmt
+        x_raw = net._sat_encode_raw(act * net.BOUNDARY_FMT.lsb, fmt)
+        rows, hw = net._layer_rows(layer, x_raw)
+        flat = rows.reshape(-1, rows.shape[-1])
+        codes = weight_codes(layer)
+        retained = (layer.mask.flags.reshape(layer.out_channels, -1)
+                    if layer.mask is not None else np.ones(codes.shape, dtype=bool))
+        bias = np.rint(layer.bias / layer.mn_scale * (1 << fmt.frac_bits))
+        acc = np.zeros((len(flat), layer.out_channels), dtype=np.int64)
+        for o in range(layer.out_channels):
+            keep = np.flatnonzero(retained[o])
+            ws = [FxPValue(int(codes[o, j]), fmt) for j in keep]
+            for r, row in enumerate(flat):
+                xs_o = [FxPValue(int(row[j]), fmt) for j in keep]
+                acc[r, o] = dot_product(xs_o, ws, mode, FxPValue(int(bias[o]), fmt))[0].raw
+        pre = acc.reshape(rows.shape[:-1] + (-1,)) * fmt.lsb * layer.mn_scale
+        wide = net._sat_encode_raw(pre, net.WIDE_FMT)
+        out = naf.activate_raw_vec(layer.activation, wide, net.WIDE_FMT.frac_bits,
+                                   net.BOUNDARY_FMT.frac_bits)
+        act = net._fold(out, layer, hw)
+    return act * net.BOUNDARY_FMT.lsb
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_forward_quant_matches_scalar_chain(seed, monkeypatch):
+    # ties the batched kernel and the activation table to the scalar MAC
+    # unit and the CORDIC that builds the table
+    rng = np.random.default_rng(4000 + seed)
+    model, x = random_topology(rng)
+    xs = np.stack([x, rng.uniform(-0.9, 0.9, size=x.shape)])
+    got = net.forward_quant(model, xs)
+    monkeypatch.setattr(naf, "_tanh_lookup_vec", naf._tanh_internal_vec)
+    np.testing.assert_array_equal(got, _scalar_forward(model, xs))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -35,6 +35,59 @@ class TestCordicCore:
         assert naf._iteration_schedule(9) == (1, 2, 3, 4, 4, 5, 6, 7, 8)
 
 
+class TestTable:
+    """The lazily filled table of the internal tanh against the CORDIC that
+    fills it."""
+
+    ONE = 1 << naf.INTERNAL_FRAC_BITS
+
+    def test_equals_cordic_within_two_to_the_twenty(self):
+        z = np.arange(-(1 << 20), (1 << 20) + 1, dtype=np.int64)
+        np.testing.assert_array_equal(naf._tanh_lookup_vec(z), naf._tanh_internal_vec(z))
+
+    @pytest.mark.parametrize("mag", [409344, 1 << 19, 1 << 23, 1 << 40, (1 << 62) - 1])
+    def test_saturated_codes_read_one(self, mag):
+        z = np.array([mag, -mag], dtype=np.int64)
+        want = [self.ONE, -self.ONE]
+        np.testing.assert_array_equal(naf._tanh_internal_vec(z), want)
+        np.testing.assert_array_equal(naf._tanh_lookup_vec(z), want)
+
+    def test_double_angle_step_fixes_one(self):
+        # D(t) = 2t / (1 + t*t), the step that rebuilds a halved argument
+        t = np.array([self.ONE], dtype=np.int64)
+        den = self.ONE + ((t * t) >> naf.INTERNAL_FRAC_BITS)
+        assert naf._div_round_vec(2 * t, den, naf.INTERNAL_FRAC_BITS)[0] == self.ONE
+
+    @pytest.mark.parametrize("in_f,out_f", [(16, 7), (16, 16), (7, 7), (20, 10), (8, 12)])
+    def test_units_equal_the_cordic_units(self, monkeypatch, in_f, out_f):
+        raw = np.arange(-(1 << 20), (1 << 20) + 1, dtype=np.int64)
+        got = [naf.tanh_raw_vec(raw, in_f, out_f), naf.sigmoid_raw_vec(raw, in_f, out_f)]
+        monkeypatch.setattr(naf, "_tanh_lookup_vec", naf._tanh_internal_vec)
+        np.testing.assert_array_equal(got[0], naf.tanh_raw_vec(raw, in_f, out_f))
+        np.testing.assert_array_equal(got[1], naf.sigmoid_raw_vec(raw, in_f, out_f))
+
+    def test_fills_only_the_blocks_it_reads(self, monkeypatch):
+        monkeypatch.setattr(naf, "_TABLE", np.zeros_like(naf._TABLE))
+        monkeypatch.setattr(naf, "_FILLED", np.zeros_like(naf._FILLED))
+        monkeypatch.setattr(naf, "_table_complete", False)
+        z = np.array([5, -4100, 1 << 40], dtype=np.int64)
+        np.testing.assert_array_equal(naf._tanh_lookup_vec(z), naf._tanh_internal_vec(z))
+        assert np.flatnonzero(naf._FILLED).tolist() == [0, 1, len(naf._FILLED) - 1]
+        assert not naf._table_complete
+        naf._tanh_lookup_vec(np.arange(len(naf._TABLE)))
+        assert naf._table_complete
+
+    def test_small_and_never_shared(self):
+        assert naf._TABLE.nbytes <= 2 << 20
+        raw = np.arange(-300, 300, dtype=np.int64)
+        before = naf._TABLE.copy()
+        for out in (naf._tanh_lookup_vec(raw), naf.tanh_raw_vec(raw, 7, 16),
+                    naf.sigmoid_raw_vec(raw, 7, 16)):
+            assert not np.shares_memory(out, naf._TABLE)
+            out[:] = 12345
+        np.testing.assert_array_equal(naf._TABLE, before)
+
+
 class TestTanh:
     def test_zero(self):
         assert af_tanh(FxPValue(0, FXP8)).raw == 0
@@ -146,6 +199,18 @@ class TestApply:
             apply(3, FxPValue(0, FXP8))
         with pytest.raises(InvalidSelect):
             naf.activate_raw_vec(3, np.zeros(2, dtype=np.int64), 7, 7)
+
+    @pytest.mark.parametrize("sel", [1.5, 2.9, True, np.bool_(True), "1", None])
+    def test_non_integer_select_rejected(self, sel):
+        # int() truncated these: 1.5 and True ran sigmoid, 2.9 ran tanh
+        with pytest.raises(InvalidSelect, match="integer code"):
+            apply(sel, FxPValue(64, FXP8))
+        with pytest.raises(InvalidSelect, match="integer code"):
+            naf.activate_raw_vec(sel, np.zeros(2, dtype=np.int64), 7, 7)
+
+    def test_numpy_integer_select_accepted(self):
+        x = FxPValue(64, FXP8)
+        assert apply(np.int64(2), x) == apply(AfSelect.TANH, x) == apply(2, x)
 
 
 class TestPiso:

@@ -408,6 +408,13 @@ class TestDescriptors:
         with pytest.raises(ShapeMismatch, match="retained_per_window = 9"):
             net.SparsityMask(holed, 9)
 
+    def test_mask_leaves_the_callers_array_writable(self):
+        # the mask freezes its own copy, not the array it was built from
+        flags = np.ones((1, 1, 3, 3), dtype=bool)
+        mask = net.SparsityMask(flags, 9)
+        flags[0, 0, 0, 0] = False
+        assert mask.total_retained == 9 and not mask.flags.flags.writeable
+
 
 class TestBackward:
     def test_matches_central_differences(self):
