@@ -160,29 +160,17 @@ def test_batched_forward_rows_equal_single_calls(seed):
 
 
 def _scalar_forward(model, xs):
-    """Scores through the scalar chain: each layer's outputs one by one from
-    `mac.dot_product`, encoded to the wide format, activated with the
-    internal tanh computed by the CORDIC (the caller patches out the table),
-    then folded into the next layer's input layout."""
+    """Scores through the scalar chain: each layer's accumulators from
+    `_oracle` (per-output `mac.dot_product`), encoded to the wide format,
+    activated with the internal tanh computed by the CORDIC (the caller
+    patches out the table), then folded into the next layer's input layout."""
     act = net._sat_encode_raw(xs, net.BOUNDARY_FMT)
     for layer in model.layers:
-        mode, fmt = layer.precision, layer.precision.fmt
-        x_raw = net._sat_encode_raw(act * net.BOUNDARY_FMT.lsb, fmt)
-        rows, hw = net._layer_rows(layer, x_raw)
-        flat = rows.reshape(-1, rows.shape[-1])
-        codes = weight_codes(layer)
-        retained = (layer.mask.flags.reshape(layer.out_channels, -1)
-                    if layer.mask is not None else np.ones(codes.shape, dtype=bool))
-        bias = np.rint(layer.bias / layer.mn_scale * (1 << fmt.frac_bits))
-        acc = np.zeros((len(flat), layer.out_channels), dtype=np.int64)
-        for o in range(layer.out_channels):
-            keep = np.flatnonzero(retained[o])
-            ws = [FxPValue(int(codes[o, j]), fmt) for j in keep]
-            for r, row in enumerate(flat):
-                xs_o = [FxPValue(int(row[j]), fmt) for j in keep]
-                acc[r, o] = dot_product(xs_o, ws, mode, FxPValue(int(bias[o]), fmt))[0].raw
-        pre = acc.reshape(rows.shape[:-1] + (-1,)) * fmt.lsb * layer.mn_scale
-        wide = net._sat_encode_raw(pre, net.WIDE_FMT)
+        fmt = layer.precision.fmt
+        rows, hw = net._layer_rows(layer, net._sat_encode_raw(act * net.BOUNDARY_FMT.lsb, fmt))
+        acc, where = _oracle(net._prepare_layer(layer), rows)
+        assert where is None
+        wide = net._sat_encode_raw(acc * fmt.lsb * layer.mn_scale, net.WIDE_FMT)
         out = naf.activate_raw_vec(layer.activation, wide, net.WIDE_FMT.frac_bits,
                                    net.BOUNDARY_FMT.frac_bits)
         act = net._fold(out, layer, hw)
