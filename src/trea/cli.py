@@ -157,8 +157,8 @@ def _cmd_finetune(args) -> int:
     masks = [l.mask for l in model.layers]
     model = sharp.fine_tune(model, masks, assignment, data,
                             epochs=args.epochs, lr=args.lr, seed=args.seed)
-    net.save_model(model, args.out)
     acc = net.evaluate_quant(model, data.test_x, data.test_y)
+    net.save_model(model, args.out)
     print(f"fine-tuned model {args.out}: quant test accuracy {acc:.4f}")
     return 0
 
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (TreaError, OSError, json.JSONDecodeError) as exc:
+    except (TreaError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3

@@ -202,8 +202,11 @@ def saturation_threshold(frac_bits: int) -> float:
 
 
 def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
-    """Elementwise fixed-point tanh on raw integers; odd-symmetric by
-    construction."""
+    """Elementwise fixed-point tanh on raw integers; odd-symmetric for inputs
+    with at most 16 fractional bits. Finer inputs are floored to 16 bits
+    (`_to_internal_vec`; sigmoid reads it at 17 bits on the forward path, so
+    truncating toward zero would move its scores), so at 20 bits raws -1 and
+    1 give -112 and 0."""
     z = _to_internal_vec(raw, in_frac_bits)
     top = (1 << out_frac_bits) - 1
     sat = round(saturation_threshold(out_frac_bits) * _ONE)

@@ -26,10 +26,10 @@ greedy PoT terms from `fxp.term_table` at the mode's format and depth and
 groups them by shift m into a signed term matrix C_m. A layer's accumulators
 are bias + sum_m (x >> m) @ C_m.T: one exact float64 matmul per shift in use,
 with the shift applied per operand and flooring as the hardware truncates.
-Overflow keeps the hardware's per-add semantics: a cheap bound on every
-prefix sum screens the outputs, and only those it cannot clear are replayed
-from the planes term by term in hardware order. QAT's effective weights are
-sum_m 2**-m C_m times mn_scale.
+Overflow keeps the hardware's per-add semantics. Operands are codes of the
+layer's format, so `_prepare_layer` screens the outputs once from the layer
+alone, and for the few it cannot clear the prefix sums at operand boundaries
+decide exactly. QAT's effective weights are sum_m 2**-m C_m times mn_scale.
 """
 
 from __future__ import annotations
@@ -399,7 +399,7 @@ def _layer_rows(layer: LayerDescriptor, act):
     (B, P, C*kh*kw) patches and (ho, wo) for conv, (B, K) flattened rows and
     None for dense. Every row is one dot product per output channel."""
     if layer.kind == "dense":
-        return act.reshape(act.shape[0], -1), None
+        return act.reshape(len(act), layer.weights.shape[1]), None
     cols, ho, wo = _im2col(act, *layer.weights.shape[2:], layer.stride, layer.padding)
     return cols, (ho, wo)
 
@@ -573,7 +573,7 @@ class _QuantLayer:
     bias_raw: np.ndarray           # accumulator-scale preload per output
     acc_limit: int                 # overflow bound at the Eq-width
     planes: tuple                  # (m, C_m) per shift in use; C_m signed (out, K)
-    reach: np.ndarray              # per output: sum of 2**(F-m) over all terms
+    suspect: np.ndarray            # outputs whose prefix sums the screen cannot clear
 
 
 def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
@@ -595,12 +595,17 @@ def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     k = layer.retained_per_output()
     has_bias = bool(np.any(bias_raw))
     width = accumulator_width(fmt.total_bits, k + (1 if has_bias else 0))
-    return _QuantLayer(layer, bias_raw, 1 << (width - 1), planes, reach)
+    lim = 1 << (width - 1)
+    # operands are codes of the format, so |x >> m| <= 2**(F-m) and no prefix
+    # sum leaves |bias| + reach; in float64 a bias code near or past the int64
+    # range still reads as huge
+    suspect = np.flatnonzero(np.abs(bias_raw.astype(np.float64)) + reach > lim - 1)
+    return _QuantLayer(layer, bias_raw, lim, planes, suspect)
 
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
     """Shift-and-add dot products for all outputs: x_raw_mat is (..., K)
-    activations at the layer's format; returns int accumulators (..., out).
+    codes of the layer's format; returns int accumulators (..., out).
 
     Shift-plane form: grouping every weight's PoT terms by shift m gives the
     signed term matrices C_m, and the accumulator is
@@ -630,43 +635,33 @@ def _accumulate(q: _QuantLayer, x_raw_mat):
 def _check_overflow(q: _QuantLayer, x):
     """Raise `AccumulatorOverflow` if any prefix sum of any output leaves
     [-acc_limit, acc_limit - 1] when the accumulator takes the bias, then each
-    operand j in order, then its terms in MSD order.
+    operand j in order, then its terms in MSD order. x holds codes of the
+    layer's format, one row per dot product.
 
-    A cheap bound screens the outputs: with every |x| <= s * 2**F, each
-    |x >> m| <= s * 2**(F-m), so every prefix of an output stays within
-    |bias| + s * reach. The bound is taken in float64 so that a bias code
-    near or past the int64 range still reads as huge; the integers it adds
-    are exact well past any accumulator limit. Only the outputs it cannot
-    clear are replayed, on every row, in the exact prefix order. For operands
-    and a bias inside the N-bit range (s = 1) the screen never fails: each
-    greedy term carries the weight's sign and the terms' shifted magnitudes
-    sum to at most |w| < 1, so an operand adds less than 2**(N-1) = 2**F.
+    Only the outputs `_prepare_layer` could not clear are checked, first
+    output first. Greedy PoT terms all carry their weight's sign and every
+    `x >> m` carries x's sign, so the prefix sums within one operand move one
+    way: some prefix leaves the range exactly when a sum at an operand
+    boundary, bias + sum_{i <= j} p_i with p_i = sum_m C_m[o, i] (x_i >> m),
+    does. The first column j where any row leaves it is the add the
+    hardware stops at.
     """
     if not x.size:
         return
     lim = q.acc_limit
-    fmt = q.layer.precision.fmt
-    s = -(-max(int(x.max()), -int(x.min())) >> fmt.frac_bits)   # ceil(max |x| / 2**F)
-    bound = np.abs(q.bias_raw.astype(np.float64)) + float(s) * q.reach
-    suspect = np.flatnonzero(bound > lim - 1)
-    if not suspect.size:
-        return
-    shifts = [m for m, _ in q.planes]
-
-    def check(a, o, j):
-        if int(a.max()) > lim - 1 or int(a.min()) < -lim:
-            raise AccumulatorOverflow(
-                f"accumulator left [{-lim}, {lim - 1}] (output {o}, operand {j})"
-            )
-
-    for o in suspect:
-        a = np.full(len(x), q.bias_raw[o], dtype=np.int64)
-        check(a, o, "bias")
-        terms = np.array([c[o] for _, c in q.planes]).reshape(-1, x.shape[1])
-        for j in np.flatnonzero(terms.any(axis=0)):
-            for p in np.flatnonzero(terms[:, j]):
-                a += int(terms[p, j]) * (x[:, j] >> shifts[p])
-                check(a, o, j)
+    for o in q.suspect:
+        where = "bias"
+        if -lim <= q.bias_raw[o] <= lim - 1:
+            p = sum(((x >> m) * c[o].astype(np.int64) for m, c in q.planes),
+                    np.zeros_like(x))
+            out = np.cumsum(p, axis=1) + q.bias_raw[o]
+            cols = np.flatnonzero(((out > lim - 1) | (out < -lim)).any(axis=0))
+            if not cols.size:
+                continue
+            where = int(cols[0])
+        raise AccumulatorOverflow(
+            f"accumulator left [{-lim}, {lim - 1}] (output {o}, operand {where})"
+        )
 
 
 def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
@@ -718,14 +713,18 @@ def forward_quant(model: NetworkDescriptor, x):
     return scores
 
 
-def evaluate_float(model, x, y) -> float:
-    scores = forward_float(model, x)
+def _accuracy(scores, y) -> float:
+    if not len(scores):
+        raise DomainError("accuracy of an empty test set is undefined")
     return float((scores.argmax(axis=1) == y).mean())
+
+
+def evaluate_float(model, x, y) -> float:
+    return _accuracy(forward_float(model, x), y)
 
 
 def evaluate_quant(model, x, y) -> float:
-    scores = forward_quant(model, x)
-    return float((scores.argmax(axis=1) == y).mean())
+    return _accuracy(forward_quant(model, x), y)
 
 
 def qat_finetune(model: NetworkDescriptor, dataset: Dataset, epochs: int, lr: float,
@@ -869,8 +868,10 @@ def load_model(path) -> NetworkDescriptor:
         raise FormatError("truncated manifest")
     try:
         manifest = json.loads(data[mstart:mstart + mlen])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8, or too deep
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError("manifest is not a JSON object")
     version = _manifest_field(manifest, "version", "manifest", _int)
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")

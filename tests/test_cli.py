@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import rewrite_manifest
 from trea import cli, net
+from trea.errors import TreaError
 from trea.fxp import FXP4, FxPValue
 from trea.mac import MacMode
 
@@ -193,6 +198,7 @@ _SIM_BAD_PROFILE = _SIM + ["--device-profile", "{bad}"]
 
 
 _DOMAIN = "DomainError"
+_NO_TEST = {**_DATA, "image_size": 12, "n_test": 0}   # the pipeline's frame size
 
 
 @pytest.mark.parametrize("argv, bad_json, error", [
@@ -225,6 +231,16 @@ _DOMAIN = "DomainError"
     pytest.param(_TRAIN_BAD, {**_DATA, "seed": True}, _DOMAIN, id="descriptor-seed-bool"),
     pytest.param(_TRAIN_BAD, {**_DATA, "n_train": 10.0}, _DOMAIN,
                  id="descriptor-n-train-float"),
+    pytest.param(_TRAIN_BAD, _NO_TEST, _DOMAIN, id="train-empty-test-set"),
+    pytest.param(["quantize", "--model", "{model}", "--data", "{bad}", "--out", "{out}"],
+                 _NO_TEST, _DOMAIN, id="quantize-empty-test-set"),
+    pytest.param(["finetune", "--model", "{model}", "--data", "{bad}", "--epochs", "1",
+                  "--seed", "1", "--out", "{out}"],
+                 _NO_TEST, _DOMAIN, id="finetune-empty-test-set"),
+    pytest.param(_TRAIN_BAD, b'{"seed": "\xff"}', "UnicodeDecodeError",
+                 id="descriptor-not-utf8"),
+    pytest.param(_SIM_BAD_PROFILE, b'{"lut_total": "\xff"}', "UnicodeDecodeError",
+                 id="profile-not-utf8"),
     pytest.param(_SIM_BAD_PROFILE, [303600, 607200], _DOMAIN, id="profile-list"),
     pytest.param(_SIM_BAD_PROFILE, {"lut_total": "x", "ff_total": 607200}, _DOMAIN,
                  id="profile-lut-string"),
@@ -240,9 +256,63 @@ def test_rejected_input_exits_3_without_output(pipeline, tmp_path, capsys, argv,
     paths = {"model": pipeline["tuned"], "data": pipeline["data"],
              "out": tmp_path / "out", "report": tmp_path / "report.csv",
              "bad": tmp_path / "bad.json"}
-    if bad_json is not None:
+    if isinstance(bad_json, bytes):
+        paths["bad"].write_bytes(bad_json)
+    elif bad_json is not None:
         paths["bad"].write_text(json.dumps(bad_json))
     assert _run([a.format(**paths) for a in argv]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == error
     assert not paths["out"].exists()
     assert not paths["report"].exists()
+
+
+@pytest.fixture(scope="module")
+def mixed_model(pipeline, tmp_path_factory):
+    """The pipeline's pruned model with its dense layers at FxP8: a saved
+    pruned mixed-precision model, as bytes, and a scratch path for mutants."""
+    model = net.load_model(pipeline["tuned"])
+    for layer in model.layers[1:]:
+        layer.precision = MacMode.FXP8
+        layer.refresh_mn_scale()
+    path = tmp_path_factory.mktemp("fuzz") / "model.tmdl"
+    net.save_model(model, path)
+    return path.read_bytes(), path
+
+
+def _mutate(data, kind, pos, arg):
+    """Flip bits of, insert bytes at, delete bytes at, or truncate at `pos`."""
+    pos %= len(data) + 1
+    if kind == "flip" and pos < len(data):
+        return data[:pos] + bytes([data[pos] ^ arg[0]]) + data[pos + 1:]
+    if kind == "insert":
+        return data[:pos] + arg + data[pos:]
+    if kind == "delete":
+        return data[:pos] + data[pos + len(arg):]
+    return data[:pos] if kind == "truncate" else data
+
+
+# positions favour the magic, length and JSON manifest at the file's head
+_MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["flip", "insert", "delete", "truncate"]),
+    st.one_of(st.integers(0, 1024), st.integers(0, 1 << 20)),
+    st.binary(min_size=1, max_size=4).filter(lambda b: b[0]),
+), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutations=_MUTATIONS)
+def test_mutated_model_loads_or_is_rejected(pipeline, mixed_model, mutations):
+    # a corrupt model file is a TreaError, and the CLI exits 0 or 3, never 1
+    data, path = mixed_model
+    for mutation in mutations:
+        data = _mutate(data, *mutation)
+    path.write_bytes(data)
+    try:
+        net.load_model(path)
+    except TreaError:
+        pass
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = _run(["simulate", "--model", str(path), "--data", str(pipeline["data"])])
+    assert code in (0, 3)

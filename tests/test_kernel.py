@@ -11,7 +11,7 @@ import pytest
 from conftest import random_topology, weight_codes
 from trea import naf, net
 from trea.errors import AccumulatorOverflow, DomainError
-from trea.fxp import FxPValue, msd_decompose
+from trea.fxp import FXP4, FXP8, FxPValue, msd_decompose, term_table
 from trea.mac import Accumulator, dot_product, mac_step
 
 
@@ -149,6 +149,21 @@ def test_bias_far_outside_the_accumulator_overflows_at_the_preload(bias_code, ze
         net._accumulate(q, x)
 
 
+@pytest.mark.parametrize("terms", [3, 5])
+@pytest.mark.parametrize("fmt", [FXP4, FXP8], ids=["fxp4", "fxp8"])
+def test_an_operand_moves_the_accumulator_one_way(fmt, terms):
+    # the premise of `net._check_overflow`, over every weight and operand
+    # code: each term of w * x has the sign of w * x, and the terms add up to
+    # less than 2**F in magnitude
+    f = fmt.frac_bits
+    ws = np.arange(fmt.raw_min + 1, fmt.raw_max + 1)     # |w| < 1 after mn normalization
+    xs = np.arange(fmt.raw_min, fmt.raw_max + 1)
+    signs = term_table(fmt, terms)[:, ws - fmt.raw_min]   # (F+1, W)
+    adds = signs[:, :, None] * (xs >> np.arange(f + 1)[:, None])[:, None, :]
+    assert (adds * np.sign(ws)[:, None] * np.sign(xs) >= 0).all()
+    assert (np.abs(adds.sum(axis=0)) < 1 << f).all()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_forward_rows_equal_single_calls(seed):
     rng = np.random.default_rng(2000 + seed)
@@ -163,30 +178,59 @@ def _scalar_forward(model, xs):
     """Scores through the scalar chain: each layer's accumulators from
     `_oracle` (per-output `mac.dot_product`), encoded to the wide format,
     activated with the internal tanh computed by the CORDIC (the caller
-    patches out the table), then folded into the next layer's input layout."""
+    patches out the table), then folded into the next layer's input layout.
+    Returns (scores, None), or (None, (output, operand)) where a layer's
+    accumulator overflows."""
     act = net._sat_encode_raw(xs, net.BOUNDARY_FMT)
     for layer in model.layers:
         fmt = layer.precision.fmt
         rows, hw = net._layer_rows(layer, net._sat_encode_raw(act * net.BOUNDARY_FMT.lsb, fmt))
         acc, where = _oracle(net._prepare_layer(layer), rows)
-        assert where is None
+        if where is not None:
+            return None, where
         wide = net._sat_encode_raw(acc * fmt.lsb * layer.mn_scale, net.WIDE_FMT)
         out = naf.activate_raw_vec(layer.activation, wide, net.WIDE_FMT.frac_bits,
                                    net.BOUNDARY_FMT.frac_bits)
         act = net._fold(out, layer, hw)
-    return act * net.BOUNDARY_FMT.lsb
+    return act * net.BOUNDARY_FMT.lsb, None
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_forward_quant_matches_scalar_chain(seed, monkeypatch):
-    # ties the batched kernel and the activation table to the scalar MAC
-    # unit and the CORDIC that builds the table
+def _chain_case(seed):
+    """A random model and a batch of two frames; from seed 8 on, one random
+    layer's bias is inflated as in `_inflate_bias`."""
     rng = np.random.default_rng(4000 + seed)
     model, x = random_topology(rng)
     xs = np.stack([x, rng.uniform(-0.9, 0.9, size=x.shape)])
-    got = net.forward_quant(model, xs)
-    monkeypatch.setattr(naf, "_tanh_lookup_vec", naf._tanh_internal_vec)
-    np.testing.assert_array_equal(got, _scalar_forward(model, xs))
+    if seed >= 8:
+        layer = model.layers[int(rng.integers(len(model.layers)))]
+        _inflate_bias(rng, layer, net._prepare_layer(layer).acc_limit)
+    return model, xs
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_forward_quant_matches_scalar_chain(seed, monkeypatch):
+    # ties the batched kernel and the activation table to the scalar MAC
+    # unit and the CORDIC that builds the table, overflows included
+    model, xs = _chain_case(seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(naf, "_tanh_lookup_vec", naf._tanh_internal_vec)
+        want, where = _scalar_forward(model, xs)
+    if where is None:
+        np.testing.assert_array_equal(net.forward_quant(model, xs), want)
+    else:
+        o, j = where
+        with pytest.raises(AccumulatorOverflow, match=rf"\(output {o}, operand {j}\)"):
+            net.forward_quant(model, xs)
+
+
+def test_scalar_chain_reaches_every_outcome():
+    # the inflated cases above see no overflow, an overflowing bias preload
+    # and an overflow at a later add
+    outcomes = set()
+    for seed in range(8, 24):
+        _, where = _scalar_forward(*_chain_case(seed))
+        outcomes.add(where if where is None else where[1] == "bias")
+    assert outcomes == {None, True, False}
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -108,6 +108,19 @@ class TestTanh:
             b = af_tanh(FxPValue(-raw, FXP8)).raw
             assert a == -b
 
+    @pytest.mark.parametrize("out_f", [7, 16])
+    def test_odd_symmetry_at_sixteen_fractional_bits(self, out_f):
+        # every raw in +-2**23, in chunks of 2**20
+        for lo in range(0, (1 << 23) + 1, 1 << 20):
+            raw = np.arange(lo, min(lo + (1 << 20), (1 << 23) + 1))
+            np.testing.assert_array_equal(naf.tanh_raw_vec(-raw, 16, out_f),
+                                          -naf.tanh_raw_vec(raw, 16, out_f))
+
+    def test_finer_inputs_floor_to_sixteen_fractional_bits(self):
+        # -1 floors to -1 internal LSB, 1 to 0: the docstring's exception
+        np.testing.assert_array_equal(naf.tanh_raw_vec(np.array([-1, 1]), 20, 20),
+                                      [-112, 0])
+
     def test_monotone_exhaustive(self):
         prev = None
         for raw in range(-128, 128):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,19 @@ class TestNonFiniteInput:
             forward(desk_model, x)
 
 
+class TestEmptyBatch:
+    @pytest.mark.parametrize("forward", [net.forward_quant, net.forward_float])
+    def test_forward_gives_no_rows(self, desk_model, desk_data, forward):
+        # conv -> dense -> dense: the dense layers flatten to their input width
+        got = forward(desk_model, desk_data.test_x[:0])
+        assert got.shape == (0, desk_data.classes)
+
+    @pytest.mark.parametrize("evaluate", [net.evaluate_quant, net.evaluate_float])
+    def test_evaluate_rejects_an_empty_set(self, desk_model, desk_data, evaluate):
+        with pytest.raises(DomainError, match="empty"):
+            evaluate(desk_model, desk_data.test_x[:0], desk_data.test_y[:0])
+
+
 class TestTrainReference:
     def test_epochs_zero_is_seeded_init(self):
         data = net.synth_dataset(3, 16, 4)
@@ -350,6 +365,18 @@ class TestSerialization:
 
         rewrite_manifest(p, edit)
         with pytest.raises(FormatError, match=key):
+            net.load_model(p)
+
+    @pytest.mark.parametrize("payload", [
+        b'{"name":"\xff"}',
+        b"5",
+        b"null",
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["not-utf8", "number", "null", "deeply-nested"])
+    def test_manifest_that_is_no_json_object_is_format_error(self, tmp_path, payload):
+        p = tmp_path / "m.tmdl"
+        p.write_bytes(net.MODEL_MAGIC + struct.pack("<I", len(payload)) + payload)
+        with pytest.raises(FormatError, match="manifest"):
             net.load_model(p)
 
     def test_non_finite_mn_scale_rejected_on_load(self, desk_model, tmp_path):
