@@ -87,7 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_data(path) -> net.Dataset:
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except RecursionError as exc:
+            raise TreaError(f"dataset descriptor {path} is nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise TreaError(f"dataset descriptor {path} is not a JSON object")
     try:

@@ -137,7 +137,10 @@ def load_device_profile(name_or_path: str) -> tuple[int, int]:
         prof = DEVICE_PROFILES[name_or_path]
         return prof["lut_total"], prof["ff_total"]
     with open(name_or_path) as fh:
-        prof = json.load(fh)
+        try:
+            prof = json.load(fh)
+        except RecursionError as exc:
+            raise DomainError(f"device profile {name_or_path} is nested too deeply") from exc
     if not isinstance(prof, dict):
         raise DomainError(f"device profile {name_or_path} is not a JSON object")
     for key in ("lut_total", "ff_total"):

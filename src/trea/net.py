@@ -30,6 +30,10 @@ Overflow keeps the hardware's per-add semantics. Operands are codes of the
 layer's format, so `_prepare_layer` screens the outputs once from the layer
 alone, and for the few it cannot clear the prefix sums at operand boundaries
 decide exactly. QAT's effective weights are sum_m 2**-m C_m times mn_scale.
+Each descriptor keeps its last prepared layer for the forward pass, reused
+while everything `_prepare_layer` reads compares equal by value to what it
+was built from, so in-place edits rebuild it and nothing needs invalidating.
+QAT's passes, whose weights change every step, build each layer afresh.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -121,6 +125,8 @@ class LayerDescriptor:
     mask: SparsityMask | None = None
     stride: int = 1
     padding: str = "valid"
+    # (state, _QuantLayer) from the last `_prepare_layer`; never copied or saved
+    _prepared: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("conv2d", "dense"):
@@ -569,14 +575,44 @@ def _sat_encode_raw(values, fmt: FxPFormat):
 
 @dataclass
 class _QuantLayer:
-    layer: LayerDescriptor
+    """A layer's weights and bias in the form the kernel reads. Shared by
+    every pass over the same layer state, so its arrays are read-only."""
+
+    out_channels: int
     bias_raw: np.ndarray           # accumulator-scale preload per output
     acc_limit: int                 # overflow bound at the Eq-width
     planes: tuple                  # (m, C_m) per shift in use; C_m signed (out, K)
     suspect: np.ndarray            # outputs whose prefix sums the screen cannot clear
 
 
+def _layer_state(layer: LayerDescriptor) -> tuple:
+    """Everything `_build_quant_layer` reads from the layer."""
+    mask = layer.mask
+    return (layer.kind, layer.precision, layer.mn_scale, layer.weights, layer.bias,
+            None if mask is None else mask.flags,
+            None if mask is None else mask.retained_per_window)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
 def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
+    """The layer's `_QuantLayer`, rebuilt only when the layer's state differs
+    by value from the state it was last built from, so in-place edits of the
+    weights or bias count as changes."""
+    state = _layer_state(layer)
+    memo = layer._prepared
+    if memo is not None and all(map(_same, memo[0], state)):
+        return memo[1]
+    q = _build_quant_layer(layer)
+    layer._prepared = (tuple(v.copy() if isinstance(v, np.ndarray) else v for v in state), q)
+    return q
+
+
+def _build_quant_layer(layer: LayerDescriptor) -> _QuantLayer:
     fmt = layer.precision.fmt
     f = fmt.frac_bits
     wn = layer.masked_weights() / layer.mn_scale
@@ -586,9 +622,9 @@ def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     if np.abs(wn).max() > top + 1e-12:
         raise DomainError("weights exceed mn normalization; refresh mn_scale")
     codes = np.rint(wn * (1 << f)).astype(np.int64).reshape(layer.out_channels, -1)
-    signs = term_table(fmt, layer.precision.terms)
-    planes = tuple((m, c) for m, c in enumerate(signs.take(codes - fmt.raw_min, axis=1))
-                   if c.any())
+    signs = term_table(fmt, layer.precision.terms).take(codes - fmt.raw_min, axis=1)
+    signs.setflags(write=False)
+    planes = tuple((m, c) for m, c in enumerate(signs) if c.any())
     reach = sum((2.0 ** (f - m) * np.abs(c).sum(axis=1) for m, c in planes),
                 np.zeros(layer.out_channels))
     bias_raw = np.rint(layer.bias / layer.mn_scale * (1 << f)).astype(np.int64)
@@ -600,7 +636,9 @@ def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     # sum leaves |bias| + reach; in float64 a bias code near or past the int64
     # range still reads as huge
     suspect = np.flatnonzero(np.abs(bias_raw.astype(np.float64)) + reach > lim - 1)
-    return _QuantLayer(layer, bias_raw, lim, planes, suspect)
+    bias_raw.setflags(write=False)
+    suspect.setflags(write=False)
+    return _QuantLayer(layer.out_channels, bias_raw, lim, planes, suspect)
 
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
@@ -625,11 +663,11 @@ def _accumulate(q: _QuantLayer, x_raw_mat):
     """
     x = x_raw_mat.reshape(-1, x_raw_mat.shape[-1])
     _check_overflow(q, x)
-    total = np.zeros((x.shape[0], q.layer.out_channels))
+    total = np.zeros((x.shape[0], q.out_channels))
     for m, c in q.planes:
         total += (x >> m).astype(np.float64) @ c.T
     acc = total.astype(np.int64) + q.bias_raw
-    return acc.reshape(x_raw_mat.shape[:-1] + (q.layer.out_channels,))
+    return acc.reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
 
 
 def _check_overflow(q: _QuantLayer, x):
@@ -669,7 +707,10 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
     act_raw = _sat_encode_raw(xb, BOUNDARY_FMT)       # model input is a boundary
     caches = [] if with_cache else None
     for layer in model.layers:
-        q = _prepare_layer(layer)
+        # QAT changes every layer between passes: a memo would only add a
+        # compare and a copy, and hold the last step's planes while the next
+        # are built, which costs page faults
+        q = _build_quant_layer(layer) if with_cache else _prepare_layer(layer)
         fmt = layer.precision.fmt
         # layer-entry requantization into the mode's operand format
         if BOUNDARY_FMT.frac_bits == fmt.frac_bits:
@@ -714,6 +755,10 @@ def forward_quant(model: NetworkDescriptor, x):
 
 
 def _accuracy(scores, y) -> float:
+    scores = scores.reshape(-1, scores.shape[-1])   # one (C, H, W) frame is a batch of one
+    y = np.reshape(y, -1)
+    if len(y) != len(scores):
+        raise ShapeMismatch(f"{len(y)} labels for {len(scores)} frames")
     if not len(scores):
         raise DomainError("accuracy of an empty test set is undefined")
     return float((scores.argmax(axis=1) == y).mean())

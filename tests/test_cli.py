@@ -241,6 +241,8 @@ _NO_TEST = {**_DATA, "image_size": 12, "n_test": 0}   # the pipeline's frame siz
                  id="descriptor-not-utf8"),
     pytest.param(_SIM_BAD_PROFILE, b'{"lut_total": "\xff"}', "UnicodeDecodeError",
                  id="profile-not-utf8"),
+    pytest.param(_TRAIN_BAD, b"[" * 100000, "TreaError", id="descriptor-deeply-nested"),
+    pytest.param(_SIM_BAD_PROFILE, b"[" * 100000, _DOMAIN, id="profile-deeply-nested"),
     pytest.param(_SIM_BAD_PROFILE, [303600, 607200], _DOMAIN, id="profile-list"),
     pytest.param(_SIM_BAD_PROFILE, {"lut_total": "x", "ff_total": 607200}, _DOMAIN,
                  id="profile-lut-string"),

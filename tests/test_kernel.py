@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import random_topology, weight_codes
-from trea import naf, net
-from trea.errors import AccumulatorOverflow, DomainError
+from trea import naf, net, sharp
+from trea.errors import AccumulatorOverflow, DomainError, TreaError
 from trea.fxp import FXP4, FXP8, FxPValue, msd_decompose, term_table
-from trea.mac import Accumulator, dot_product, mac_step
+from trea.mac import Accumulator, MacMode, dot_product, mac_step
 
 
 def _layer_operands(rng, layer, batch):
@@ -28,9 +28,9 @@ def _layer_operands(rng, layer, batch):
 
 
 def _inflate_bias(rng, layer, acc_limit):
-    """Move one output's bias out of the N-bit range, to within about
-    sqrt(K) operands of the accumulator limit or just past it, so that the
-    bias alone, a later add, or nothing overflows."""
+    """Move one output's bias, in place, out of the N-bit range, to within
+    about sqrt(K) operands of the accumulator limit or just past it, so that
+    the bias alone, a later add, or nothing overflows."""
     fmt = layer.precision.fmt
     one = 1 << fmt.frac_bits
     k = layer.retained_per_output()
@@ -38,7 +38,7 @@ def _inflate_bias(rng, layer, acc_limit):
     o = int(rng.integers(layer.out_channels))
     gap = int(rng.integers(-one // 2, int(np.sqrt(k) * one / 2)))
     raw[o] = rng.choice([-1, 1]) * (acc_limit - gap)
-    layer.bias = raw * layer.mn_scale / one
+    layer.bias[:] = raw * layer.mn_scale / one
 
 
 def _scalar_chain(xs, ws, bias_raw, mode, width):
@@ -57,11 +57,10 @@ def _scalar_chain(xs, ws, bias_raw, mode, width):
     return acc.raw, None
 
 
-def _oracle(q, x):
-    """Scalar accumulators (rows, out), or the (output, operand) the
-    hardware stops at: the first output, in order, with a failing row, at
-    the earliest failing add over its rows."""
-    layer = q.layer
+def _oracle(layer, q, x):
+    """Scalar accumulators (rows, out) of `layer`, prepared as `q`, or the
+    (output, operand) the hardware stops at: the first output, in order,
+    with a failing row, at the earliest failing add over its rows."""
     mode, fmt = layer.precision, layer.precision.fmt
     width = q.acc_limit.bit_length()
     wmat = weight_codes(layer)
@@ -100,7 +99,7 @@ def test_accumulate_matches_scalar_oracle(seed, batch):
             _inflate_bias(rng, layer, net._prepare_layer(layer).acc_limit)
         q = net._prepare_layer(layer)
         x = _layer_operands(rng, layer, batch)
-        want, where = _oracle(q, x)
+        want, where = _oracle(layer, q, x)
         if where is None:
             got = net._accumulate(q, x)
             assert got.dtype == np.int64
@@ -121,7 +120,7 @@ def test_inflated_biases_reach_every_outcome():
         for layer in model.layers:
             _inflate_bias(rng, layer, net._prepare_layer(layer).acc_limit)
             q = net._prepare_layer(layer)
-            _, where = _oracle(q, _layer_operands(rng, layer, 3))
+            _, where = _oracle(layer, q, _layer_operands(rng, layer, 3))
             outcomes.add(where if where is None else where[1] == "bias")
     assert outcomes == {None, True, False}
 
@@ -185,7 +184,7 @@ def _scalar_forward(model, xs):
     for layer in model.layers:
         fmt = layer.precision.fmt
         rows, hw = net._layer_rows(layer, net._sat_encode_raw(act * net.BOUNDARY_FMT.lsb, fmt))
-        acc, where = _oracle(net._prepare_layer(layer), rows)
+        acc, where = _oracle(layer, net._prepare_layer(layer), rows)
         if where is not None:
             return None, where
         wide = net._sat_encode_raw(acc * fmt.lsb * layer.mn_scale, net.WIDE_FMT)
@@ -261,3 +260,80 @@ def test_prepare_layer_rejects_values_outside_the_code_table(field, poke):
     setattr(layer, field, poke(getattr(layer, field)))
     with pytest.raises(DomainError):
         net._prepare_layer(layer)
+
+
+def _poke_weight(rng, layer):
+    # one retained weight in place, to half the largest magnitude with its
+    # sign flipped, so that its code changes
+    w = layer.weights
+    keep = np.arange(w.size) if layer.mask is None else np.flatnonzero(layer.mask.flags)
+    i = np.unravel_index(rng.choice(keep), w.shape)
+    w[i] = -np.copysign(0.5 * np.abs(layer.masked_weights()).max(), w[i])
+
+
+def _poke_bias(rng, layer):
+    # one bias in place: inflated to the accumulator limit, or moved by a
+    # quarter of the layer's range
+    if rng.random() < 0.5:
+        _inflate_bias(rng, layer, net._prepare_layer(layer).acc_limit)
+    else:
+        layer.bias[rng.integers(layer.out_channels)] += 0.25 * layer.mn_scale
+
+
+def _swap_mask(rng, layer):
+    if layer.kind == "dense":
+        layer.mask = net.SparsityMask(rng.random(layer.weights.shape) < 0.5,
+                                      layer.weights.shape[1])
+    elif layer.mask is None:
+        layer.mask = sharp.prune_conv_weights(layer.weights)
+    else:
+        layer.mask = sharp.prune_conv_weights(rng.normal(size=layer.weights.shape))
+
+
+_MUTATIONS = {
+    "weight": _poke_weight,
+    "bias": _poke_bias,
+    "mn_scale": lambda rng, layer: setattr(layer, "mn_scale", layer.mn_scale * 2.0),
+    # FXP4 keeps fewer codes, so an FXP8 layer's mn_scale no longer fits it
+    "precision": lambda rng, layer: setattr(
+        layer, "precision",
+        MacMode.FXP8 if layer.precision is MacMode.FXP4_SIMD else MacMode.FXP4_SIMD),
+    "mask": _swap_mask,
+}
+
+
+def _outcome(model, xs):
+    """The scores, or the type and message of the `TreaError` raised."""
+    try:
+        return net.forward_quant(model, xs)
+    except TreaError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@pytest.mark.parametrize("seed", range(12))
+def test_prepared_layers_follow_every_change_to_the_model(seed, mutation):
+    # each descriptor keeps its prepared layer; after a change made in place
+    # or by assignment, a warm model scores or fails exactly as a cold copy
+    rng = np.random.default_rng(5000 + seed)
+    model, x = random_topology(rng)
+    xs = np.stack([x, rng.uniform(-0.9, 0.9, size=x.shape)])
+    warm = net.forward_quant(model, xs)
+    np.testing.assert_array_equal(net.forward_quant(model, xs), warm)
+    _MUTATIONS[mutation](rng, model.layers[int(rng.integers(len(model.layers)))])
+    got, want = _outcome(model, xs), _outcome(model.copy(), xs)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_prepared_layer_is_shared_and_read_only():
+    model, x = random_topology(np.random.default_rng(6))
+    net.forward_quant(model, x)
+    for layer in model.layers:
+        q = net._prepare_layer(layer)
+        assert net._prepare_layer(layer) is q
+        for a in [c for _, c in q.planes] + [q.bias_raw, q.suspect]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0

@@ -1,4 +1,6 @@
+import gc
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +236,18 @@ class TestEmptyBatch:
             evaluate(desk_model, desk_data.test_x[:0], desk_data.test_y[:0])
 
 
+@pytest.mark.parametrize("evaluate, forward", [(net.evaluate_quant, net.forward_quant),
+                                               (net.evaluate_float, net.forward_float)],
+                         ids=["quant", "float"])
+def test_evaluate_scores_one_frame_as_a_batch_of_one(desk_model, desk_data, evaluate,
+                                                      forward):
+    x, y = desk_data.test_x[0], desk_data.test_y[:1]
+    want = float(forward(desk_model, x).argmax() == y[0])
+    assert evaluate(desk_model, x, y) == want == evaluate(desk_model, x[None], y)
+    with pytest.raises(ShapeMismatch, match="labels"):
+        evaluate(desk_model, desk_data.test_x[:3], y)
+
+
 class TestTrainReference:
     def test_epochs_zero_is_seeded_init(self):
         data = net.synth_dataset(3, 16, 4)
@@ -293,6 +307,19 @@ class TestSerialization:
             assert a.mn_scale == b.mn_scale
             if a.mask is not None:
                 assert np.array_equal(a.mask.flags, b.mask.flags)
+
+    def test_prepared_layers_are_neither_saved_nor_copied(self, desk_model, desk_data,
+                                                          tmp_path):
+        warm = sharp.prune_model(desk_model)
+        cold = warm.copy()
+        net.forward_quant(warm, desk_data.test_x[:4])
+        assert all(layer._prepared is not None for layer in warm.layers)
+        assert all(layer._prepared is None for layer in warm.copy().layers)
+        assert warm.layers[0].copy()._prepared is None
+        assert "_prepared" not in repr(warm.layers[0])
+        net.save_model(warm, tmp_path / "warm.tmdl")
+        net.save_model(cold, tmp_path / "cold.tmdl")
+        assert (tmp_path / "warm.tmdl").read_bytes() == (tmp_path / "cold.tmdl").read_bytes()
 
     def test_truncated(self, desk_model, tmp_path):
         p = tmp_path / "m.tmdl"
@@ -434,6 +461,19 @@ class TestDescriptors:
         holed[1, 0, 0, 0] = False
         with pytest.raises(ShapeMismatch, match="retained_per_window = 9"):
             net.SparsityMask(holed, 9)
+
+    def test_prepared_layer_does_not_keep_its_descriptor_alive(self, desk_model, desk_data):
+        # no layer -> prepared layer -> layer cycle: the layer dies with its
+        # last reference, without the cyclic collector
+        model = desk_model.copy()
+        net.forward_quant(model, desk_data.test_x[:2])
+        ref = weakref.ref(model.layers[0])
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_mask_leaves_the_callers_array_writable(self):
         # the mask freezes its own copy, not the array it was built from
