@@ -5,10 +5,11 @@ The float path is the oracle: double precision conv/dense plus exact
 activation functions. The quantized path is bit-accurate: activations and
 weights live as raw integers, every multiply is the truncated shift-and-add
 PoT product at the layer's precision, accumulators are width-checked, and
-activations go through `naf.activate_raw_vec`, which decodes the layer's
-select and rescales to the layer boundary's format. Boundary and model-input
-conversions saturate (hardware requantization); `fxp.encode` stays strict.
-Non-finite input is rejected.
+the layer boundary is one chain, `_boundary_chain`: the accumulator rescaled
+by mn_scale, saturated into WIDE_FMT, and put through
+`naf.activate_raw_vec`, which decodes the layer's select and rescales to the
+boundary's format. Boundary and model-input conversions saturate (hardware
+requantization); `fxp.encode` stays strict. Non-finite input is rejected.
 
 The datapath is fixed, not configured: inter-layer activations are
 BOUNDARY_FMT (FxP8), every activation runs through `naf`'s one 9-stage
@@ -33,7 +34,12 @@ decide exactly. QAT's effective weights are sum_m 2**-m C_m times mn_scale.
 Each descriptor keeps its last prepared layer for the forward pass, reused
 while everything `_prepare_layer` reads compares equal by value to what it
 was built from, so in-place edits rebuild it and nothing needs invalidating.
-QAT's passes, whose weights change every step, build each layer afresh.
+A prepared layer's boundary is a function of the accumulator code alone, and
+no accumulator leaves [-R, R] with R the layer's bound on |bias| + reach, so
+`_prepare_layer` runs the chain once over every code in that range and the
+forward pass reads the boundary from that table. QAT's passes, whose weights
+and mn_scale change every step, build each layer afresh and run the chain on
+their accumulators, since they also need the float pre-activations.
 """
 
 from __future__ import annotations
@@ -583,12 +589,15 @@ class _QuantLayer:
     acc_limit: int                 # overflow bound at the Eq-width
     planes: tuple                  # (m, C_m) per shift in use; C_m signed (out, K)
     suspect: np.ndarray            # outputs whose prefix sums the screen cannot clear
+    acc_bound: int                 # R: no accumulator that passes the check leaves [-R, R]
+    boundary: np.ndarray | None = None  # int8 boundary code of acc at acc + R (prepared only)
 
 
 def _layer_state(layer: LayerDescriptor) -> tuple:
-    """Everything `_build_quant_layer` reads from the layer."""
+    """Everything `_prepare_layer` reads from the layer."""
     mask = layer.mask
-    return (layer.kind, layer.precision, layer.mn_scale, layer.weights, layer.bias,
+    return (layer.kind, layer.activation, layer.precision, layer.mn_scale,
+            layer.weights, layer.bias,
             None if mask is None else mask.flags,
             None if mask is None else mask.retained_per_window)
 
@@ -600,14 +609,17 @@ def _same(a, b) -> bool:
 
 
 def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
-    """The layer's `_QuantLayer`, rebuilt only when the layer's state differs
-    by value from the state it was last built from, so in-place edits of the
-    weights or bias count as changes."""
+    """The layer's `_QuantLayer` with its boundary table, rebuilt only when
+    the layer's state differs by value from the state it was last built
+    from, so in-place edits of the weights or bias count as changes."""
     state = _layer_state(layer)
     memo = layer._prepared
     if memo is not None and all(map(_same, memo[0], state)):
         return memo[1]
     q = _build_quant_layer(layer)
+    _, codes = _boundary_chain(layer, np.arange(-q.acc_bound, q.acc_bound + 1))
+    q.boundary = codes.astype(np.int8)
+    q.boundary.setflags(write=False)
     layer._prepared = (tuple(v.copy() if isinstance(v, np.ndarray) else v for v in state), q)
     return q
 
@@ -635,10 +647,14 @@ def _build_quant_layer(layer: LayerDescriptor) -> _QuantLayer:
     # operands are codes of the format, so |x >> m| <= 2**(F-m) and no prefix
     # sum leaves |bias| + reach; in float64 a bias code near or past the int64
     # range still reads as huge
-    suspect = np.flatnonzero(np.abs(bias_raw.astype(np.float64)) + reach > lim - 1)
+    bound = np.abs(bias_raw.astype(np.float64)) + reach
+    suspect = np.flatnonzero(bound > lim - 1)
+    # the screen clears the others, and `_check_overflow` holds the suspects
+    # inside the limit
+    acc_bound = math.ceil(min(float(bound.max()), lim))
     bias_raw.setflags(write=False)
     suspect.setflags(write=False)
-    return _QuantLayer(layer.out_channels, bias_raw, lim, planes, suspect)
+    return _QuantLayer(layer.out_channels, bias_raw, lim, planes, suspect, acc_bound)
 
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
@@ -702,9 +718,23 @@ def _check_overflow(q: _QuantLayer, x):
         )
 
 
+def _boundary_chain(layer: LayerDescriptor, acc):
+    """The layer boundary of accumulator codes `acc`: the float
+    pre-activations acc * lsb * mn_scale, and the boundary codes the
+    activation unit makes of them once saturated into WIDE_FMT. It fills each
+    prepared layer's boundary table and runs directly on QAT's passes."""
+    pre = acc.astype(np.float64) * layer.precision.fmt.lsb * layer.mn_scale
+    codes = naf.activate_raw_vec(layer.activation, _sat_encode_raw(pre, WIDE_FMT),
+                                 WIDE_FMT.frac_bits, BOUNDARY_FMT.frac_bits)
+    return pre, codes
+
+
 def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
+    """(last layer's pre-activations, scores, caches); the pre-activations and
+    caches are None unless `with_cache`."""
     xb, single = _check_input(model, x)
     act_raw = _sat_encode_raw(xb, BOUNDARY_FMT)       # model input is a boundary
+    pre_true = None
     caches = [] if with_cache else None
     for layer in model.layers:
         # QAT changes every layer between passes: a memo would only add a
@@ -719,11 +749,8 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
             x_raw = _sat_encode_raw(act_raw.astype(np.float64) * BOUNDARY_FMT.lsb, fmt)
         cols, hw = _layer_rows(layer, x_raw)
         acc = _accumulate(q, cols)
-        pre_true = acc.astype(np.float64) * fmt.lsb * layer.mn_scale
-        bound_raw = naf.activate_raw_vec(layer.activation,
-                                         _sat_encode_raw(pre_true, WIDE_FMT),
-                                         WIDE_FMT.frac_bits, BOUNDARY_FMT.frac_bits)
         if with_cache:
+            pre_true, bound_raw = _boundary_chain(layer, acc)
             # the PoT-approximated weights, exact: every term is dyadic
             approx = sum((c * 2.0 ** -m for m, c in q.planes),
                          np.zeros((layer.out_channels, cols.shape[-1])))
@@ -734,6 +761,8 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
                 wmat=approx * layer.mn_scale,
                 in_shape=x_raw.shape,
             ))
+        else:
+            bound_raw = q.boundary[acc + q.acc_bound]
         act_raw = _fold(bound_raw, layer, hw)
     scores = act_raw.astype(np.float64) * BOUNDARY_FMT.lsb
     if single:
@@ -748,7 +777,7 @@ def forward_quant(model: NetworkDescriptor, x):
     precision, accumulation happens at the reduced width with bias preloaded,
     masked weights contribute nothing, outputs are rescaled by mn_scale and
     pushed through the CORDIC activation unit, then requantized at the layer
-    boundary.
+    boundary; that boundary is read from each prepared layer's table.
     """
     _, scores, _ = _quant_pass(model, x)
     return scores

@@ -13,6 +13,7 @@ from trea import naf, net, sharp
 from trea.errors import AccumulatorOverflow, DomainError, TreaError
 from trea.fxp import FXP4, FXP8, FxPValue, msd_decompose, term_table
 from trea.mac import Accumulator, MacMode, dot_product, mac_step
+from trea.naf import AfSelect
 
 
 def _layer_operands(rng, layer, batch):
@@ -232,6 +233,54 @@ def test_scalar_chain_reaches_every_outcome():
     assert outcomes == {None, True, False}
 
 
+def _extreme_rows(layer):
+    """One operand row per output, every operand at the end of the format's
+    range that drives that output's accumulator down."""
+    fmt = layer.precision.fmt
+    return np.where(weight_codes(layer) > 0, fmt.raw_min, fmt.raw_max)
+
+
+@pytest.mark.parametrize("sel", list(AfSelect), ids=lambda s: s.name.lower())
+@pytest.mark.parametrize("seed", range(24))
+def test_boundary_table_equals_the_chain(seed, sel):
+    # the prepared table against the chain over every code in [-R, R], read
+    # as the forward pass reads it; R bounds every accumulator that passes
+    # the check, and from seed 8 on an inflated bias stretches R to acc_limit
+    model, xs = _chain_case(seed)
+    for layer in model.layers:
+        layer.activation = sel
+        q = net._prepare_layer(layer)
+        codes = np.arange(-q.acc_bound, q.acc_bound + 1)
+        assert q.boundary.dtype == np.int8
+        np.testing.assert_array_equal(q.boundary[codes + q.acc_bound],
+                                      net._boundary_chain(layer, codes)[1])
+        assert 0 <= q.acc_bound <= q.acc_limit
+        try:
+            acc = net._accumulate(q, _extreme_rows(layer))
+        except AccumulatorOverflow:
+            continue
+        assert np.abs(acc).max() <= q.acc_bound
+    # the table and the chain QAT runs give the same scores
+    outcome = _outcome(model, xs)
+    if isinstance(outcome, str):
+        with pytest.raises(AccumulatorOverflow):
+            net._quant_pass(model, xs, with_cache=True)
+    else:
+        np.testing.assert_array_equal(net._quant_pass(model, xs, with_cache=True)[1], outcome)
+
+
+def test_inflated_biases_stretch_the_table_to_the_accumulator_limit():
+    # the differential test above reads both ends of tables as wide as the
+    # accumulator range
+    stretched = 0
+    for seed in range(8, 24):
+        model, _ = _chain_case(seed)
+        for layer in model.layers:
+            q = net._prepare_layer(layer)
+            stretched += q.acc_bound == q.acc_limit
+    assert stretched
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_qat_effective_weights_match_scalar_decomposition(seed):
     # the weights QAT's backward pass sees are each weight's PoT
@@ -299,6 +348,8 @@ _MUTATIONS = {
         layer, "precision",
         MacMode.FXP8 if layer.precision is MacMode.FXP4_SIMD else MacMode.FXP4_SIMD),
     "mask": _swap_mask,
+    "activation": lambda rng, layer: setattr(
+        layer, "activation", AfSelect((layer.activation + int(rng.integers(1, 3))) % 3)),
 }
 
 
@@ -334,6 +385,6 @@ def test_prepared_layer_is_shared_and_read_only():
     for layer in model.layers:
         q = net._prepare_layer(layer)
         assert net._prepare_layer(layer) is q
-        for a in [c for _, c in q.planes] + [q.bias_raw, q.suspect]:
+        for a in [c for _, c in q.planes] + [q.bias_raw, q.suspect, q.boundary]:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trea import naf
+from trea import naf, net
 from trea.errors import DomainError, InvalidSelect
 from trea.fxp import FXP8, FxPFormat, FxPValue, decode, encode
 from trea.naf import (
@@ -77,6 +77,23 @@ class TestTable:
         naf._tanh_lookup_vec(np.arange(len(naf._TABLE)))
         assert naf._table_complete
 
+    def test_boundary_tables_fill_no_block_past_saturation(self, monkeypatch):
+        # the README model's boundary tables reach past the FxP8 saturation
+        # code, whose outputs are pinned, so tanh reads no block beyond sat's
+        monkeypatch.setattr(naf, "_TABLE", np.zeros_like(naf._TABLE))
+        monkeypatch.setattr(naf, "_FILLED", np.zeros_like(naf._FILLED))
+        monkeypatch.setattr(naf, "_table_complete", False)
+        data = net.synth_dataset(seed=42, n_train=240, n_test=96)
+        model = net.train_reference("desk", data, epochs=15, lr=0.08, seed=7)
+        sat = round(saturation_threshold(7) * self.ONE)
+        reach = []
+        for layer in model.layers:
+            assert layer.activation is AfSelect.TANH
+            q = net._prepare_layer(layer)
+            reach.append(q.acc_bound * layer.precision.fmt.lsb * layer.mn_scale * self.ONE)
+        assert max(reach) > 2 * sat
+        assert np.flatnonzero(naf._FILLED).tolist() == list(range((sat >> naf._BLOCK_BITS) + 1))
+
     def test_small_and_never_shared(self):
         assert naf._TABLE.nbytes <= 2 << 20
         raw = np.arange(-300, 300, dtype=np.int64)
@@ -129,6 +146,18 @@ class TestTanh:
                 assert cur >= prev
             prev = cur
 
+    def test_wide_to_boundary_steps_down_at_four_codes(self):
+        # the forward path's WIDE -> FxP8 tanh is not monotone: the CORDIC's
+        # sign decisions make it drop one code at these four steps (|x| ~
+        # 0.2939 and 0.8047); this records the hardware's behaviour, so that
+        # no rewrite of the unit or the boundary table changes it silently
+        raw = np.arange(-(1 << 20), 1 << 20)
+        out = naf.activate_raw_vec(AfSelect.TANH, raw, 16, 7)
+        down = np.flatnonzero(np.diff(out) < 0)
+        assert raw[down].tolist() == [-52738, -19260, 19259, 52737]
+        assert out[down].tolist() == [-85, -36, 37, 86]
+        assert out[down + 1].tolist() == [-86, -37, 36, 85]
+
 
 class TestSigmoid:
     def test_zero_exact(self):
@@ -161,6 +190,10 @@ class TestSigmoid:
             if prev is not None:
                 assert cur >= prev
             prev = cur
+
+    def test_wide_to_boundary_never_decreases(self):
+        out = naf.activate_raw_vec(AfSelect.SIGMOID, np.arange(-(1 << 20), 1 << 20), 16, 7)
+        assert (np.diff(out) >= 0).all()
 
 
 class TestRelu:
