@@ -91,7 +91,7 @@ class TestTable:
             assert layer.activation is AfSelect.TANH
             q = net._prepare_layer(layer)
             reach.append(q.acc_bound * layer.precision.fmt.lsb * layer.mn_scale * self.ONE)
-        assert max(reach) > 2 * sat
+        assert max(reach) > sat
         assert np.flatnonzero(naf._FILLED).tolist() == list(range((sat >> naf._BLOCK_BITS) + 1))
 
     def test_small_and_never_shared(self):
