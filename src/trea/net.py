@@ -617,9 +617,7 @@ def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     if memo is not None and all(map(_same, memo[0], state)):
         return memo[1]
     q = _build_quant_layer(layer)
-    _, codes = _boundary_chain(layer, np.arange(-q.acc_bound, q.acc_bound + 1))
-    q.boundary = codes.astype(np.int8)
-    q.boundary.setflags(write=False)
+    q.boundary = _boundary_table(layer, q.acc_bound)
     layer._prepared = (tuple(v.copy() if isinstance(v, np.ndarray) else v for v in state), q)
     return q
 
@@ -727,6 +725,24 @@ def _boundary_chain(layer: LayerDescriptor, acc):
     codes = naf.activate_raw_vec(layer.activation, _sat_encode_raw(pre, WIDE_FMT),
                                  WIDE_FMT.frac_bits, BOUNDARY_FMT.frac_bits)
     return pre, codes
+
+
+# The table is filled a chunk of codes at a time, so the chain's temporaries
+# stay small: for a 65536-input dense layer (2.85M codes) one call over all of
+# them raised the peak RSS by 204 MiB and took ~0.4 s, while chunks of 2**14
+# codes stayed under the layer build's own peak and took ~0.1 s.
+_CHAIN_CHUNK = 1 << 14
+
+
+def _boundary_table(layer: LayerDescriptor, r: int):
+    """The read-only int8 boundary codes of accumulators -r..r, the code of
+    acc at index acc + r."""
+    table = np.empty(2 * r + 1, dtype=np.int8)
+    for lo in range(0, len(table), _CHAIN_CHUNK):
+        codes = np.arange(lo, min(lo + _CHAIN_CHUNK, len(table))) - r
+        table[lo:lo + len(codes)] = _boundary_chain(layer, codes)[1]
+    table.setflags(write=False)
+    return table
 
 
 def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
