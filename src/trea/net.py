@@ -12,7 +12,8 @@ boundary's format. Boundary and model-input conversions saturate (hardware
 requantization); `fxp.encode` stays strict. Non-finite input is rejected.
 
 The datapath is fixed, not configured: inter-layer activations are
-BOUNDARY_FMT (FxP8), every activation runs through `naf`'s one 9-stage
+BOUNDARY_FMT (FxP8) codes, held as int8 from the model-input encode to the
+last layer's scores, every activation runs through `naf`'s one 9-stage
 pipeline, and both training loops walk one seeded order of minibatches of 16
 (`_minibatches`), with `_backward` raising `DivergenceError` on a non-finite
 loss. Both forward paths are one layer walk: `_layer_rows` lays a layer's
@@ -25,15 +26,20 @@ The quantized accumulate is one shift-plane kernel, and the planes are the
 only encoding of a layer's weights: `_prepare_layer` reads each weight's
 greedy PoT terms from `fxp.term_table` at the mode's format and depth and
 groups them by shift m into a signed term matrix C_m. A layer's accumulators
-are bias + sum_m (x >> m) @ C_m.T: one exact float64 matmul per shift in use,
-with the shift applied per operand and flooring as the hardware truncates.
-Overflow keeps the hardware's per-add semantics. Operands are codes of the
-layer's format, so `_prepare_layer` screens the outputs once from the layer
-alone, and for the few it cannot clear the prefix sums at operand boundaries
-decide exactly. QAT's effective weights are sum_m 2**-m C_m times mn_scale.
-Each descriptor keeps its last prepared layer for the forward pass, reused
-while everything `_prepare_layer` reads compares equal by value to what it
-was built from, so in-place edits rebuild it and nothing needs invalidating.
+are bias + sum_m (x >> m) @ C_m.T: one exact matmul per shift in use, with
+the shift applied per operand and flooring as the hardware truncates. No
+partial sum leaves the layer's reach, sum_m 2**(F-m) |C_m| per output, so
+the planes are float32 when every reach is below 2**24 and float64, exact to
+2**53, otherwise; the bound comes from the datapath, and the bias is added
+in int64. An FxP4 layer's operands are read from a 256-entry table of its
+requantization of every FxP8 code. Overflow keeps the hardware's per-add
+semantics. Operands are codes of the layer's format, so `_prepare_layer`
+screens the outputs once from the layer alone, and for the few it cannot
+clear the prefix sums at operand boundaries decide exactly. QAT's effective
+weights are sum_m 2**-m C_m times mn_scale. Each descriptor keeps its last
+prepared layer for the forward pass, reused while everything
+`_prepare_layer` reads compares equal by value to what it was built from, so
+in-place edits rebuild it and nothing needs invalidating.
 A prepared layer's boundary is a function of the accumulator code alone, and
 no accumulator leaves [-R, R] with R the layer's bound on |bias| + reach, so
 `_prepare_layer` runs the chain once over every code in that range and the
@@ -44,6 +50,7 @@ their accumulators, since they also need the float pre-activations.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -572,11 +579,28 @@ def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
 # bit-accurate quantized path
 
 
-def _sat_encode_raw(values, fmt: FxPFormat):
-    """Round-to-nearest-even then saturate into the format's raw range.
-    Boundary requantization clips instead of erroring."""
-    raw = np.rint(np.asarray(values, dtype=np.float64) * (1 << fmt.frac_bits))
-    return np.clip(raw, fmt.raw_min, fmt.raw_max).astype(np.int64)
+def _sat_encode_raw(values, fmt: FxPFormat, dtype=np.int64):
+    """Round-to-nearest-even then saturate into the format's raw range, as
+    `dtype` codes. Boundary requantization clips instead of erroring."""
+    raw = np.asarray(values, dtype=np.float64) * (1 << fmt.frac_bits)
+    # in place: fresh temporaries cost page faults on large batches
+    np.rint(raw, out=raw)
+    return np.clip(raw, fmt.raw_min, fmt.raw_max, out=raw).astype(dtype)
+
+
+# float32 holds every integer of magnitude below 2**24 exactly
+_F32_EXACT = 1 << 24
+
+
+@functools.cache
+def _requant_table(fmt: FxPFormat) -> np.ndarray:
+    """The layer-entry requantization of every boundary code into operand
+    format `fmt`, read-only int8: the code c at index c & 0xFF, so the pass
+    reads it at the codes' uint8 view. `_sat_encode_raw` is its oracle."""
+    codes = np.arange(256, dtype=np.uint8).view(np.int8)
+    table = _sat_encode_raw(codes * BOUNDARY_FMT.lsb, fmt, np.int8)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass
@@ -632,11 +656,16 @@ def _build_quant_layer(layer: LayerDescriptor) -> _QuantLayer:
     if np.abs(wn).max() > top + 1e-12:
         raise DomainError("weights exceed mn normalization; refresh mn_scale")
     codes = np.rint(wn * (1 << f)).astype(np.int64).reshape(layer.out_channels, -1)
-    signs = term_table(fmt, layer.precision.terms).take(codes - fmt.raw_min, axis=1)
+    # the table's +-1, 0 and NaN entries are exact in float32
+    signs = term_table(fmt, layer.precision.terms).astype(np.float32).take(
+        codes - fmt.raw_min, axis=1)
+    shifts = [m for m, c in enumerate(signs) if c.any()]
+    reach = sum((2.0 ** (f - m) * np.abs(signs[m]).sum(axis=1, dtype=np.float64)
+                 for m in shifts), np.zeros(layer.out_channels))
+    if reach.max() >= _F32_EXACT:   # see `_accumulate`
+        signs = signs.astype(np.float64)
     signs.setflags(write=False)
-    planes = tuple((m, c) for m, c in enumerate(signs) if c.any())
-    reach = sum((2.0 ** (f - m) * np.abs(c).sum(axis=1) for m, c in planes),
-                np.zeros(layer.out_channels))
+    planes = tuple((m, signs[m]) for m in shifts)
     bias_raw = np.rint(layer.bias / layer.mn_scale * (1 << f)).astype(np.int64)
     k = layer.retained_per_output()
     has_bias = bool(np.any(bias_raw))
@@ -657,18 +686,22 @@ def _build_quant_layer(layer: LayerDescriptor) -> _QuantLayer:
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
     """Shift-and-add dot products for all outputs: x_raw_mat is (..., K)
-    codes of the layer's format; returns int accumulators (..., out).
+    codes of the layer's format, int8 on the forward pass; returns int64
+    accumulators (..., out).
 
     Shift-plane form: grouping every weight's PoT terms by shift m gives the
     signed term matrices C_m, and the accumulator is
     bias + sum_m (x >> m) @ C_m.T. The shift is per operand with floor
     semantics, so each partial product is truncated before it is added, as
-    the DQ-MAC does. The matmuls run in float64 and are exact: every entry of
-    `x >> m` is an integer and every C_m entry is in {-1, 0, 1}, so every
-    partial sum, in any summation order and across the at most T planes a
-    weight touches, is an integer of magnitude at most T * K * max|x|; for
-    N-bit operands that is T * K * 2**(N-1), far under 2**53. The bias is
-    added in int64.
+    the DQ-MAC does. The matmuls run in floating point and are exact: every
+    entry of `x >> m` is an integer of magnitude at most 2**(F-m) and every
+    C_m entry is in {-1, 0, 1}, so every partial sum, in any summation order
+    and across the planes, is an integer no larger in magnitude than the
+    output's reach, sum_m 2**(F-m) |C_m[o]|. `_build_quant_layer` stores the
+    planes in float32, which holds every integer below 2**24, when every
+    output's reach is below that, and in float64, which holds them up to
+    2**53, otherwise; the sums run in the planes' dtype. The bias is added in
+    int64.
 
     The hardware checks the accumulator width after every add, so
     `AccumulatorOverflow` is raised exactly when some prefix of the
@@ -677,10 +710,12 @@ def _accumulate(q: _QuantLayer, x_raw_mat):
     """
     x = x_raw_mat.reshape(-1, x_raw_mat.shape[-1])
     _check_overflow(q, x)
-    total = np.zeros((x.shape[0], q.out_channels))
+    dtype = q.planes[0][1].dtype if q.planes else np.float64
+    total = np.zeros((x.shape[0], q.out_channels), dtype=dtype)
     for m, c in q.planes:
-        total += (x >> m).astype(np.float64) @ c.T
-    acc = total.astype(np.int64) + q.bias_raw
+        total += (x >> m).astype(dtype) @ c.T
+    acc = total.astype(np.int64)
+    acc += q.bias_raw
     return acc.reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
 
 
@@ -705,7 +740,7 @@ def _check_overflow(q: _QuantLayer, x):
         where = "bias"
         if -lim <= q.bias_raw[o] <= lim - 1:
             p = sum(((x >> m) * c[o].astype(np.int64) for m, c in q.planes),
-                    np.zeros_like(x))
+                    np.zeros(x.shape, dtype=np.int64))
             out = np.cumsum(p, axis=1) + q.bias_raw[o]
             cols = np.flatnonzero(((out > lim - 1) | (out < -lim)).any(axis=0))
             if not cols.size:
@@ -749,7 +784,8 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
     """(last layer's pre-activations, scores, caches); the pre-activations and
     caches are None unless `with_cache`."""
     xb, single = _check_input(model, x)
-    act_raw = _sat_encode_raw(xb, BOUNDARY_FMT)       # model input is a boundary
+    # the model input is a boundary: activations are int8 codes between layers
+    act_raw = _sat_encode_raw(xb, BOUNDARY_FMT, np.int8)
     pre_true = None
     caches = [] if with_cache else None
     for layer in model.layers:
@@ -762,7 +798,7 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         if BOUNDARY_FMT.frac_bits == fmt.frac_bits:
             x_raw = act_raw
         else:
-            x_raw = _sat_encode_raw(act_raw.astype(np.float64) * BOUNDARY_FMT.lsb, fmt)
+            x_raw = np.take(_requant_table(fmt), act_raw.view(np.uint8))
         cols, hw = _layer_rows(layer, x_raw)
         acc = _accumulate(q, cols)
         if with_cache:
@@ -777,8 +813,10 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
                 wmat=approx * layer.mn_scale,
                 in_shape=x_raw.shape,
             ))
+            bound_raw = bound_raw.astype(np.int8)
         else:
-            bound_raw = q.boundary[acc + q.acc_bound]
+            acc += q.acc_bound                 # in place: the table index
+            bound_raw = q.boundary[acc]
         act_raw = _fold(bound_raw, layer, hw)
     scores = act_raw.astype(np.float64) * BOUNDARY_FMT.lsb
     if single:

@@ -380,12 +380,126 @@ def test_prepared_layers_follow_every_change_to_the_model(seed, mutation):
         np.testing.assert_array_equal(got, want)
 
 
-def test_prepared_layer_is_shared_and_read_only():
+def test_prepared_layer_is_shared_and_read_only(wide_layers):
     model, x = random_topology(np.random.default_rng(6))
     net.forward_quant(model, x)
+    shared = [net._requant_table(mode.fmt) for mode in MacMode]
     for layer in model.layers:
         q = net._prepare_layer(layer)
         assert net._prepare_layer(layer) is q
-        for a in [c for _, c in q.planes] + [q.bias_raw, q.suspect, q.boundary]:
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0
+        shared += [c for _, c in q.planes] + [q.bias_raw, q.suspect, q.boundary]
+    # planes in either dtype: the wide layers' tables would take seconds to
+    # build, so they are read as the layer build leaves them
+    for layer in wide_layers.values():
+        shared += [c for _, c in net._build_quant_layer(layer).planes]
+    assert {a.dtype for a in shared} >= {np.dtype(np.float32), np.dtype(np.float64)}
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+# A weight code of 127 has the greedy terms 2**-1 .. 2**-5 at FxP8's depth of
+# 5, so its reach is 64 + 32 + 16 + 8 + 4 = 124 and a dense layer of such
+# weights reaches 124 * K: below 2**24 up to K = 135300, past it from 135301.
+_WIDE_K = {"under": 135300, "over": 135301}
+
+
+@pytest.fixture(scope="module")
+def wide_layers():
+    layers = {}
+    for name, k in _WIDE_K.items():
+        layer = net.LayerDescriptor("dense", AfSelect.TANH, MacMode.FXP8, np.ones((2, k)),
+                                    np.array([0.25, -0.5]))
+        layer.refresh_mn_scale()
+        layers[name] = layer
+    return layers
+
+
+@pytest.mark.parametrize("side, dtype", [("under", np.float32), ("over", np.float64)])
+def test_plane_dtype_follows_the_reach_bound(wide_layers, side, dtype):
+    # float32 holds every partial sum exactly only below 2**24; past it the
+    # planes fall back to float64, and both equal an int64 reference on the
+    # format's extreme operands
+    layer = wide_layers[side]
+    q = net._build_quant_layer(layer)
+    assert (weight_codes(layer) == 127).all()
+    assert [m for m, _ in q.planes] == [1, 2, 3, 4, 5]
+    assert {c.dtype for _, c in q.planes} == {np.dtype(dtype)}
+    k, fmt = _WIDE_K[side], layer.precision.fmt
+    reach = sum(2 ** (fmt.frac_bits - m) * np.abs(c).astype(np.int64).sum(axis=1)
+                for m, c in q.planes)
+    assert (reach == 124 * k).all()
+    assert (reach.max() < 1 << 24) == (side == "under")
+    rng = np.random.default_rng(9)
+    ends = np.array([fmt.raw_min, fmt.raw_max], dtype=np.int8)
+    x = np.stack([np.full(k, fmt.raw_min), np.full(k, fmt.raw_max),
+                  np.resize(ends, k), rng.choice(ends, size=k)]).astype(np.int8)
+    want = sum(((x.astype(np.int64) >> m) @ c.astype(np.int64).T for m, c in q.planes),
+               q.bias_raw)
+    assert np.abs(want).max() > 124 * k - 2 * 124
+    for operands in (x, x.astype(np.int64)):
+        got = net._accumulate(q, operands)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", list(MacMode), ids=lambda m: m.value)
+def test_requant_table_equals_the_encode(mode):
+    # every FxP8 boundary code, read at its uint8 view as the pass reads it,
+    # against the saturating encode the pass ran per element before
+    codes = np.arange(-128, 128).astype(np.int8)
+    table = net._requant_table(mode.fmt)
+    assert table.dtype == np.int8 and table.shape == (256,)
+    want = net._sat_encode_raw(codes * net.BOUNDARY_FMT.lsb, mode.fmt)
+    np.testing.assert_array_equal(np.take(table, codes.view(np.uint8)), want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_operands_reach_the_kernel_as_int8(seed, monkeypatch):
+    # activations are int8 boundary codes between layers, on the inference
+    # pass and on QAT's
+    model, xs = _chain_case(seed)
+    dtypes = []
+    kernel = net._accumulate
+
+    def spy(q, cols):
+        dtypes.append(cols.dtype)
+        return kernel(q, cols)
+
+    monkeypatch.setattr(net, "_accumulate", spy)
+    for with_cache in (False, True):
+        try:
+            net._quant_pass(model, xs, with_cache=with_cache)
+        except AccumulatorOverflow:
+            pass
+    assert dtypes and set(dtypes) == {np.dtype(np.int8)}
+
+
+def _accumulate_outcome(q, x):
+    """The accumulators, or the message of the `AccumulatorOverflow` raised."""
+    try:
+        return net._accumulate(q, x)
+    except AccumulatorOverflow as exc:
+        return str(exc)
+
+
+def test_int8_operands_overflow_where_int64_operands_do():
+    # `_check_overflow` sums each operand's terms in int64 whatever the
+    # operands' dtype, so int8 codes stop at the same (output, operand)
+    messages = []
+    for seed in range(0, 24, 3):
+        rng = np.random.default_rng(1000 + seed)
+        model, _ = random_topology(rng)
+        for layer in model.layers:
+            _inflate_bias(rng, layer, net._prepare_layer(layer).acc_limit)
+            q = net._prepare_layer(layer)
+            x = _layer_operands(rng, layer, 3)
+            want = _accumulate_outcome(q, x)
+            got = _accumulate_outcome(q, x.astype(np.int8))
+            if isinstance(want, str):
+                assert got == want
+                messages.append(want)
+            else:
+                np.testing.assert_array_equal(got, want)
+    assert any("operand bias" in m for m in messages)
+    assert any("operand bias" not in m for m in messages)

@@ -77,6 +77,27 @@ class TestTable:
         naf._tanh_lookup_vec(np.arange(len(naf._TABLE)))
         assert naf._table_complete
 
+    def test_upper_blocks_step_from_their_half_blocks(self, monkeypatch):
+        # a block past the CORDIC's range whose half block is filled is one
+        # double-angle step from it; one whose half block is empty, and every
+        # block within the range, runs the CORDIC
+        monkeypatch.setattr(naf, "_TABLE", np.zeros_like(naf._TABLE))
+        monkeypatch.setattr(naf, "_FILLED", np.zeros_like(naf._FILLED))
+        monkeypatch.setattr(naf, "_table_complete", False)
+        cordic, blocks = naf._tanh_internal_vec, []
+
+        def spy(z):
+            blocks.append(int(z[0]) >> naf._BLOCK_BITS)
+            return cordic(z)
+
+        monkeypatch.setattr(naf, "_tanh_internal_vec", spy)
+        naf._fill_blocks(np.array([100]))
+        naf._fill_blocks(np.arange(len(naf._FILLED)))
+        assert blocks == [100] + [b for b in range(len(naf._FILLED))
+                                  if b << naf._BLOCK_BITS <= naf._ZMAX]
+        assert naf._table_complete
+        np.testing.assert_array_equal(naf._TABLE, cordic(np.arange(len(naf._TABLE))))
+
     def test_boundary_tables_fill_no_block_past_saturation(self, monkeypatch):
         # the README model's boundary tables reach past the FxP8 saturation
         # code, whose outputs are pinned, so tanh reads no block beyond sat's
