@@ -54,9 +54,7 @@ class TestTable:
 
     def test_double_angle_step_fixes_one(self):
         # D(t) = 2t / (1 + t*t), the step that rebuilds a halved argument
-        t = np.array([self.ONE], dtype=np.int64)
-        den = self.ONE + ((t * t) >> naf.INTERNAL_FRAC_BITS)
-        assert naf._div_round_vec(2 * t, den, naf.INTERNAL_FRAC_BITS)[0] == self.ONE
+        assert naf._double_angle_vec(np.array([self.ONE], dtype=np.int64))[0] == self.ONE
 
     @pytest.mark.parametrize("in_f,out_f", [(16, 7), (16, 16), (7, 7), (20, 10), (8, 12)])
     def test_units_equal_the_cordic_units(self, monkeypatch, in_f, out_f):
