@@ -8,12 +8,16 @@ becomes a short cascade of arithmetic shifts and adds.
 
 `msd_decompose` and `potq_multiply` are the scalar oracles; every batched
 product (`net`'s accumulate, `error_sweep`) reads the same terms from the one
-cached `term_table`, in shift-plane form sum_m sign_m * (x >> m).
+cached `term_table`, in shift-plane form sum_m sign_m * (x >> m). A weight
+code's decomposition is memoized per (code, F, t), as the hardware encodes its
+static weights once, offline; the per-call shift-and-add over those terms is
+what stays the oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,15 +59,18 @@ class FxPFormat:
                 f"frac_bits must be in 1..{self.total_bits - 1}, got {self.frac_bits}"
             )
 
-    @property
+    # Computed once per instance: cached_property stores into the instance
+    # dict, which a frozen dataclass without slots allows; eq, hash and repr
+    # read only the fields.
+    @functools.cached_property
     def raw_min(self) -> int:
         return -(1 << (self.total_bits - 1))
 
-    @property
+    @functools.cached_property
     def raw_max(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
+    @functools.cached_property
     def lsb(self) -> float:
         return 2.0 ** -self.frac_bits
 
@@ -88,7 +95,11 @@ class FxPValue:
     fmt: FxPFormat
 
     def __post_init__(self):
-        object.__setattr__(self, "raw", int(self.raw))
+        try:
+            raw = operator.index(self.raw)
+        except TypeError:
+            raise RangeError(f"raw must be an integer, got {self.raw!r}") from None
+        object.__setattr__(self, "raw", raw)
         if not self.fmt.raw_min <= self.raw <= self.fmt.raw_max:
             raise RangeError(
                 f"raw {self.raw} outside [{self.fmt.raw_min}, {self.fmt.raw_max}]"
@@ -177,6 +188,19 @@ class PoTDecomposition:
         return sum((t.value for t in self.terms), Fraction(0))
 
 
+def _iterations(t) -> int:
+    """The iteration count as a plain int: integers (NumPy's too) only, never
+    a bool or a float, which would truncate or hash onto an integer's memo."""
+    if type(t) is int:
+        return t
+    if not isinstance(t, bool):
+        try:
+            return operator.index(t)
+        except TypeError:
+            pass
+    raise DomainError(f"iteration count must be an integer, got {t!r}")
+
+
 def _decompose_raw(raw: int, frac_bits: int, t_max: int):
     """Greedy MSD extraction on the raw integer; exact by construction."""
     terms = []
@@ -192,6 +216,25 @@ def _decompose_raw(raw: int, frac_bits: int, t_max: int):
     return terms, r
 
 
+# Bounded: FxP4 and FxP8 over every t need under 2k entries, but a 32-bit
+# format has 2**31 codes.
+_MEMO_SIZE = 1 << 16
+
+# Memoized decompositions share their terms: at most 2 * 32 distinct ones.
+_term = functools.cache(PoTTerm)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _decomposition(raw: int, frac_bits: int, t: int) -> PoTDecomposition:
+    raw_terms, residual_raw = _decompose_raw(raw, frac_bits, t)
+    terms = tuple(_term(s, m) for s, m in raw_terms)
+    return PoTDecomposition(
+        terms=terms,
+        residual=Fraction(residual_raw, 1 << frac_bits),
+        iterations=len(terms),
+    )
+
+
 def msd_decompose(w: FxPValue, t: int) -> PoTDecomposition:
     """Greedy most-significant-digit-first PoT decomposition of a weight.
 
@@ -199,19 +242,15 @@ def msd_decompose(w: FxPValue, t: int) -> PoTDecomposition:
     residual magnitude, so shifts strictly increase, the residual magnitude
     strictly decreases, and after k steps the residual is below 2**-k.
     Terminates early once the residual is exactly zero (at most F steps for
-    any representable weight).
+    any representable weight). The result is immutable and shared: one
+    decomposition per (code, F, t) is kept in a bounded memo.
     """
+    t = _iterations(t)
     if t < 1:
         raise DomainError(f"iteration count must be >= 1, got {t}")
     if abs(w.raw) >= (1 << w.fmt.frac_bits):
         raise DomainError(f"|{decode(w)}| >= 1; decomposition needs |w| < 1")
-    raw_terms, residual_raw = _decompose_raw(w.raw, w.fmt.frac_bits, t)
-    terms = tuple(PoTTerm(s, m) for s, m in raw_terms)
-    return PoTDecomposition(
-        terms=terms,
-        residual=Fraction(residual_raw, 1 << w.fmt.frac_bits),
-        iterations=len(terms),
-    )
+    return _decomposition(w.raw, w.fmt.frac_bits, t)
 
 
 def potq_multiply(x: FxPValue, w: FxPValue, t: int) -> FxPValue:
@@ -231,7 +270,6 @@ def potq_multiply(x: FxPValue, w: FxPValue, t: int) -> FxPValue:
     return FxPValue(acc, x.fmt)
 
 
-@functools.cache
 def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
     """Greedy MSD terms, at most t each, of every raw code of `fmt`: float64
     signs, (F+1) x 2**N, built once per (fmt, t) and read-only (shared).
@@ -241,8 +279,14 @@ def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
     sum_m sign_m 2**-m. Codes above 2**F in magnitude (formats with N > F+1)
     would need a negative shift; their columns are NaN.
     """
+    t = _iterations(t)
     if t < 1:
         raise DomainError(f"iteration count must be >= 1, got {t}")
+    return _term_table(fmt, t)
+
+
+@functools.cache
+def _term_table(fmt: FxPFormat, t: int) -> np.ndarray:
     f = fmt.frac_bits
     table = np.zeros((f + 1, 1 << fmt.total_bits))
     for i, raw in enumerate(range(fmt.raw_min, fmt.raw_max + 1)):
@@ -258,6 +302,7 @@ def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
 def error_bound(x: FxPValue, t: int, frac_bits: int) -> float:
     """Worst-case product error: residual part |x| * 2**-t plus one LSB of
     truncation per accumulated term."""
+    t = _iterations(t)
     return abs(decode(x)) * 2.0 ** -t + t * 2.0 ** -frac_bits
 
 

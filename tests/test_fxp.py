@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from trea.fxp import (
     FXP8,
     FxPFormat,
     FxPValue,
+    PoTDecomposition,
+    PoTTerm,
     decode,
     encode,
     error_bound,
@@ -44,6 +47,30 @@ class TestFormat:
             FxPValue(128, FXP8)
         with pytest.raises(RangeError):
             FxPValue(-129, FXP8)
+
+    @pytest.mark.parametrize("raw", [3.7, 3.0, float("nan"), float("inf"),
+                                     np.float64(3.0), "3", None],
+                             ids=repr)
+    def test_raw_must_be_integral(self, raw):
+        with pytest.raises(RangeError):
+            FxPValue(raw, FXP8)
+
+    @pytest.mark.parametrize("raw", [np.int8(-5), np.int64(-5), np.uint8(5)], ids=repr)
+    def test_numpy_integer_raw_becomes_int(self, raw):
+        v = FxPValue(raw, FXP8)
+        assert type(v.raw) is int and v.raw == int(raw)
+
+    def test_constants_of_every_layout(self):
+        for n in range(2, 33):
+            for f in range(1, n):
+                fmt = FxPFormat(n, f)
+                assert fmt.raw_min == -(1 << (n - 1))
+                assert fmt.raw_max == (1 << (n - 1)) - 1
+                assert fmt.lsb == 2.0 ** -f
+                assert fmt.raw_min is fmt.raw_min   # computed once
+                fresh = FxPFormat(n, f)
+                assert fmt == fresh and hash(fmt) == hash(fresh)
+                assert repr(fmt) == repr(fresh) == f"FxPFormat(total_bits={n}, frac_bits={f})"
 
 
 class TestEncodeDecode:
@@ -164,6 +191,52 @@ class TestMsdDecompose:
                 assert abs(nxt) < abs(residual)
                 residual = nxt
 
+    @pytest.mark.parametrize("fmt", [FXP4, FXP8], ids=["FXP4", "FXP8"])
+    def test_memo_matches_fresh_build(self, fmt):
+        f = fmt.frac_bits
+        for raw in range(1 - (1 << f), 1 << f):
+            for t in range(1, f + 1):
+                terms, residual = fxp._decompose_raw(raw, f, t)
+                fresh = PoTDecomposition(tuple(PoTTerm(s, m) for s, m in terms),
+                                         Fraction(residual, 1 << f), len(terms))
+                got = msd_decompose(FxPValue(raw, fmt), t)
+                assert got == fresh
+                assert msd_decompose(FxPValue(raw, fmt), np.int64(t)) is got
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                msd_decompose(FxPValue(1, FXP8), 0)
+            with pytest.raises(DomainError):
+                msd_decompose(FxPValue(1, FXP8), 5.0)
+            with pytest.raises(DomainError):
+                msd_decompose(FxPValue(-128, FXP8), 3)
+
+    def test_result_is_frozen(self):
+        d = msd_decompose(FxPValue(-77, FXP8), 4)
+        assert isinstance(d.terms, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.iterations = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.terms[0].sign = -d.terms[0].sign
+        assert msd_decompose(FxPValue(-77, FXP8), 4) == d
+
+    def test_memo_stays_bounded_on_a_wide_format(self):
+        fmt, t = FxPFormat(32, 31), 2
+        raws = [(1 << 31) - 1 - 3 * i for i in range(fxp._MEMO_SIZE + 100)]
+        try:
+            for raw in raws:
+                got = msd_decompose(FxPValue(raw, fmt), t)
+                terms, residual = fxp._decompose_raw(raw, 31, t)
+                assert [(u.sign, u.shift) for u in got.terms] == terms
+                assert got.residual == Fraction(residual, 1 << 31)
+            assert fxp._decomposition.cache_info().currsize == fxp._MEMO_SIZE
+            # the oldest codes were evicted and decode correctly again
+            assert msd_decompose(FxPValue(raws[0], fmt), t).terms == (
+                PoTTerm(1, 1), PoTTerm(1, 2))
+        finally:
+            fxp._decomposition.cache_clear()
+
     @pytest.mark.parametrize("fmt", [FXP4, FXP8])
     def test_exact_termination_exhaustive(self, fmt):
         f = fmt.frac_bits
@@ -194,6 +267,18 @@ class TestPotqMultiply:
                 err = abs(decode(x) * decode(w) - decode(potq_multiply(x, w, 3)))
                 assert err <= error_bound(x, 3, 3) + 1e-12
 
+    @pytest.mark.parametrize("fmt", [FXP4, FXP8], ids=["FXP4", "FXP8"])
+    def test_matches_local_shift_and_add(self, fmt):
+        f = fmt.frac_bits
+        xs = [FxPValue(r, fmt) for r in range(fmt.raw_min, fmt.raw_max + 1)]
+        for w_raw in range(1 - (1 << f), 1 << f):
+            w = FxPValue(w_raw, fmt)
+            for t in range(1, f + 1):
+                terms, _ = fxp._decompose_raw(w_raw, f, t)
+                for x in xs:
+                    want = sum(s * (x.raw >> m) for s, m in terms)
+                    assert potq_multiply(x, w, t).raw == want
+
     def test_result_fits_operand_format(self):
         # worst-magnitude operands never escape the 8-bit format
         for x_raw in (-128, 127):
@@ -209,6 +294,34 @@ class TestErrorBound:
     def test_t_zero_degenerate(self):
         x = FxPValue(-64, FXP8)
         assert error_bound(x, 0, 7) == abs(decode(x))
+
+
+ITERATION_USERS = {
+    "msd_decompose": lambda t: msd_decompose(FxPValue(37, FXP8), t),
+    "term_table": lambda t: term_table(FXP4, t),
+    "error_bound": lambda t: error_bound(FxPValue(37, FXP8), t, 7),
+    "error_sweep": lambda t: error_sweep(FXP4, [t]),
+}
+
+
+@pytest.mark.parametrize("name", ITERATION_USERS)
+@pytest.mark.parametrize("t", [5.0, 5.5, float("nan"), np.float64(3.0), True, "5", None],
+                         ids=repr)
+def test_iteration_count_must_be_an_integer(name, t):
+    for _ in range(2):   # a rejected count is never cached
+        with pytest.raises(DomainError):
+            ITERATION_USERS[name](t)
+
+
+@pytest.mark.parametrize("name", ITERATION_USERS)
+def test_numpy_integer_iteration_count(name):
+    call = ITERATION_USERS[name]
+    got = call(np.int32(3))
+    want = call(3)
+    if isinstance(want, np.ndarray):
+        assert got is want
+    else:
+        assert got == want
 
 
 def test_error_sweep_rows():
