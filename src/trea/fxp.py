@@ -44,6 +44,19 @@ __all__ = [
 ]
 
 
+def _integer(v, what: str) -> int:
+    """`v` as a plain int: integers (NumPy's too) only, never a bool or a
+    float, which would truncate or hash onto an integer's memo."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FxPFormat:
     """N-bit signed fixed-point layout with F fractional bits (N >= F + 1)."""
@@ -52,10 +65,12 @@ class FxPFormat:
     frac_bits: int
 
     def __post_init__(self):
+        for name in ("total_bits", "frac_bits"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 2 <= self.total_bits <= 32:
-            raise ValueError(f"total_bits must be in 2..32, got {self.total_bits}")
+            raise DomainError(f"total_bits must be in 2..32, got {self.total_bits}")
         if not 1 <= self.frac_bits <= self.total_bits - 1:
-            raise ValueError(
+            raise DomainError(
                 f"frac_bits must be in 1..{self.total_bits - 1}, got {self.frac_bits}"
             )
 
@@ -188,19 +203,6 @@ class PoTDecomposition:
         return sum((t.value for t in self.terms), Fraction(0))
 
 
-def _iterations(t) -> int:
-    """The iteration count as a plain int: integers (NumPy's too) only, never
-    a bool or a float, which would truncate or hash onto an integer's memo."""
-    if type(t) is int:
-        return t
-    if not isinstance(t, bool):
-        try:
-            return operator.index(t)
-        except TypeError:
-            pass
-    raise DomainError(f"iteration count must be an integer, got {t!r}")
-
-
 def _decompose_raw(raw: int, frac_bits: int, t_max: int):
     """Greedy MSD extraction on the raw integer; exact by construction."""
     terms = []
@@ -245,7 +247,7 @@ def msd_decompose(w: FxPValue, t: int) -> PoTDecomposition:
     any representable weight). The result is immutable and shared: one
     decomposition per (code, F, t) is kept in a bounded memo.
     """
-    t = _iterations(t)
+    t = _integer(t, "iteration count")
     if t < 1:
         raise DomainError(f"iteration count must be >= 1, got {t}")
     if abs(w.raw) >= (1 << w.fmt.frac_bits):
@@ -279,7 +281,7 @@ def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
     sum_m sign_m 2**-m. Codes above 2**F in magnitude (formats with N > F+1)
     would need a negative shift; their columns are NaN.
     """
-    t = _iterations(t)
+    t = _integer(t, "iteration count")
     if t < 1:
         raise DomainError(f"iteration count must be >= 1, got {t}")
     return _term_table(fmt, t)
@@ -301,8 +303,10 @@ def _term_table(fmt: FxPFormat, t: int) -> np.ndarray:
 
 def error_bound(x: FxPValue, t: int, frac_bits: int) -> float:
     """Worst-case product error: residual part |x| * 2**-t plus one LSB of
-    truncation per accumulated term."""
-    t = _iterations(t)
+    truncation per accumulated term. t = 0 gives the degenerate |x|."""
+    t = _integer(t, "iteration count")
+    if t < 0:
+        raise DomainError(f"iteration count must be >= 0, got {t}")
     return abs(decode(x)) * 2.0 ** -t + t * 2.0 ** -frac_bits
 
 

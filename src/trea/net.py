@@ -209,6 +209,8 @@ class NetworkDescriptor:
     layers: list[LayerDescriptor]
     seed: int = 0
     version: int = MODEL_VERSION
+    # (structure, schedule) from `trea.sched`'s last plan; never copied or saved
+    _schedule: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(int(v) for v in self.input_shape)
@@ -379,16 +381,31 @@ def build_network(arch, input_shape, seed: int, name: str = "net") -> NetworkDes
 # float reference path
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(c, h, w, kh, kw, stride):
+    """The read-only (P, C*kh*kw) intp index of every patch's elements in a
+    flattened (C, H, W) image, P in (y, x) row-major, and (ho, wo)."""
+    flat = np.arange(c * h * w, dtype=np.intp).reshape(c, h, w)
+    win = sliding_window_view(flat, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    ho, wo = win.shape[1:3]
+    idx = win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, c * kh * kw)
+    idx.setflags(write=False)
+    return idx, ho, wo
+
+
 def _im2col(x, kh, kw, stride, padding):
-    """(B, C, H, W) -> (B, P, C*kh*kw) patch matrix, P in (y, x) row-major."""
+    """(B, C, H, W) -> (B, P, C*kh*kw) patch matrix, P in (y, x) row-major:
+    one gather through the precomputed `_patch_index` of the (padded) shape."""
     if padding == "same":
         pt, pb = _same_pads(x.shape[2], kh, stride)
         pl, pr = _same_pads(x.shape[3], kw, stride)
         x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    b, c, ho, wo = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * kh * kw)
-    return cols, ho, wo
+    b, c, h, w = x.shape
+    idx, ho, wo = _patch_index(c, h, w, kh, kw, stride)
+    # an explicit row size: reshape(0, -1) cannot infer it for an empty batch.
+    # `take` returns C order; x[:, idx] puts the batch axis innermost, which
+    # costs a copy in `_accumulate` and moves the float matmul's rounding
+    return np.take(x.reshape(b, c * h * w), idx, axis=1), ho, wo
 
 
 def _col2im(dcols, x_shape, kh, kw, stride, padding):
@@ -627,8 +644,10 @@ def _layer_state(layer: LayerDescriptor) -> tuple:
 
 
 def _same(a, b) -> bool:
+    """Equal by value, as `np.array_equal` for arrays, at less fixed cost."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.shape == b.shape and bool((a == b).all()))
     return a == b
 
 

@@ -5,6 +5,12 @@ Output neurons are tiled onto the array (one unit per output); tiles run
 sequentially with tile completion chaining, and the layer's activations
 stream through the shared CORDIC unit once per layer. Scheduling never
 touches numerics: simulate() scores are the forward_quant scores.
+
+The schedule is a function of the model's structure alone (input shape,
+array size, and each layer's kind, weight shape, stride, padding, precision
+and retained count per window), so it is computed once per structure: the
+model keeps its last tile plans, validated trace and cycle counts, reused
+while that structure compares equal, and every function here reads them.
 """
 
 from __future__ import annotations
@@ -139,22 +145,35 @@ def plan_layer(layer, cfg: ArrayConfig, n_outputs: int,
     )
 
 
-def plan_network(model, cfg: ArrayConfig) -> list[TileSchedule]:
-    shapes = model.layer_shapes()
-    plans = []
-    for idx, layer in enumerate(model.layers):
-        n_out = 1
-        for d in shapes[idx]:
-            n_out *= int(d)
-        plans.append(plan_layer(layer, cfg, n_out, idx))
-    return plans
+@dataclass(frozen=True)
+class _Timing:
+    """A model's schedule: its tile plans, validated trace and MAC cycles."""
+
+    plans: tuple[TileSchedule, ...]
+    trace: CycleTrace
+    mac_cycles: int
 
 
-def _network_timing(model, cfg: ArrayConfig):
-    """Event list and total cycles; pure arithmetic over the tile plans."""
+def _structure(model, cfg: ArrayConfig) -> tuple:
+    """Everything the tile plans read from the model and the array."""
+    return (model.input_shape, cfg.mac_units, tuple(
+        (layer.kind, layer.weights.shape, layer.stride, layer.padding, layer.precision,
+         None if layer.mask is None else layer.mask.retained_per_window)
+        for layer in model.layers))
+
+
+def _network_timing(model, cfg: ArrayConfig) -> _Timing:
+    """The model's schedule, rebuilt only when its structure differs from
+    the one it was last built from. Events and cycles are pure arithmetic
+    over the tile plans."""
+    key = _structure(model, cfg)
+    memo = model._schedule
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    plans = tuple(plan_layer(layer, cfg, math.prod(int(d) for d in shape), idx)
+                  for idx, (layer, shape) in enumerate(zip(model.layers, model.layer_shapes())))
     events = []
     cycle = 0
-    plans = plan_network(model, cfg)
     for plan in plans:
         for tile in range(len(plan.tile_sizes)):
             cycle += plan.mac_cycles_per_tile
@@ -165,28 +184,30 @@ def _network_timing(model, cfg: ArrayConfig):
                                  len(plan.tile_sizes) - 1))
     events.append(TraceEvent(cycle, EventKind.DNN_DONE, len(model.layers) - 1,
                              len(plans[-1].tile_sizes) - 1))
-    return tuple(events), cycle
+    trace = CycleTrace(tuple(events))
+    trace.validate()
+    mac = sum(plan.mac_cycles_per_tile * len(plan.tile_sizes) for plan in plans)
+    timing = _Timing(plans, trace, mac)
+    model._schedule = (key, timing)
+    return timing
+
+
+def plan_network(model, cfg: ArrayConfig) -> list[TileSchedule]:
+    return list(_network_timing(model, cfg).plans)
 
 
 def simulate(model, x, cfg: ArrayConfig):
     """Run one input through the array model: bit-identical scores from the
     quantized forward path plus the completion-event trace."""
     scores = _net.forward_quant(model, x)
-    events, _ = _network_timing(model, cfg)
-    trace = CycleTrace(events)
-    trace.validate()
-    return scores, trace
+    return scores, _network_timing(model, cfg).trace
 
 
 def cpfi_analytic(model, cfg: ArrayConfig) -> int:
     """Closed-form cycles per frame; equals the simulated trace's stamp."""
-    _, total = _network_timing(model, cfg)
-    return total
+    return _network_timing(model, cfg).trace.cpfi
 
 
 def mac_cycles_total(model, cfg: ArrayConfig) -> int:
     """MAC-phase cycle component only (no activation-unit latency)."""
-    return sum(
-        plan.mac_cycles_per_tile * len(plan.tile_sizes)
-        for plan in plan_network(model, cfg)
-    )
+    return _network_timing(model, cfg).mac_cycles

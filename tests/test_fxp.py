@@ -42,6 +42,26 @@ class TestFormat:
         with pytest.raises(ValueError):
             FxPFormat(n, f)
 
+    @pytest.mark.parametrize("n,f", [(8.0, 7), (8, 7.0), (True, 1), (8, True), ("8", 7),
+                                     (np.float64(8.0), 7), (None, 7)],
+                             ids=repr)
+    def test_fields_must_be_integers(self, n, f):
+        # a float or bool field would construct, then fail at `1 << f` or
+        # hash equal to an integer layout such as FXP8
+        with pytest.raises(DomainError, match="must be an integer"):
+            FxPFormat(n, f)
+
+    def test_numpy_integer_fields_become_int(self):
+        fmt = FxPFormat(np.int64(8), np.uint8(7))
+        assert type(fmt.total_bits) is int and type(fmt.frac_bits) is int
+        assert fmt == FXP8 and hash(fmt) == hash(FXP8) and repr(fmt) == repr(FXP8)
+        assert fmt.raw_min == -128
+
+    def test_range_errors_are_domain_errors(self):
+        for n, f in ((1, 1), (8, 8)):
+            with pytest.raises(DomainError):
+                FxPFormat(n, f)
+
     def test_raw_must_fit(self):
         with pytest.raises(RangeError):
             FxPValue(128, FXP8)
@@ -294,6 +314,11 @@ class TestErrorBound:
     def test_t_zero_degenerate(self):
         x = FxPValue(-64, FXP8)
         assert error_bound(x, 0, 7) == abs(decode(x))
+
+    @pytest.mark.parametrize("t", [-1, -7, np.int64(-2)], ids=repr)
+    def test_negative_t_rejected(self, t):
+        with pytest.raises(DomainError, match=">= 0"):
+            error_bound(FxPValue(64, FXP8), t, 7)
 
 
 ITERATION_USERS = {

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_topology, rewrite_manifest, weight_codes
 from trea import net, sched, sharp
@@ -95,6 +96,46 @@ def _naive_forward(model, x):
         else:
             act = np.tanh(z)
     return act
+
+
+def _im2col_windows(x, kh, kw, stride, padding):
+    """The strided-window form of `net._im2col`, kept as its oracle."""
+    if padding == "same":
+        pt, pb = net._same_pads(x.shape[2], kh, stride)
+        pl, pr = net._same_pads(x.shape[3], kw, stride)
+        x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    b, c, ho, wo = win.shape[:4]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * kh * kw), ho, wo
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_im2col_gather_matches_the_window_form(dtype):
+    rng = np.random.default_rng(71)
+    for _ in range(150):
+        kh, kw = (int(k) for k in rng.integers(1, 6, size=2))
+        stride = int(rng.integers(1, 4))
+        padding = str(rng.choice(["valid", "same"]))
+        b, c = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        h, w = int(rng.integers(kh, 10)), int(rng.integers(kw, 10))
+        x = rng.integers(-128, 128, size=(b, c, h, w)).astype(dtype)
+        if dtype == np.float64:
+            x += rng.random(x.shape)
+        got, ho, wo = net._im2col(x, kh, kw, stride, padding)
+        want, want_ho, want_wo = _im2col_windows(x, kh, kw, stride, padding)
+        assert (ho, wo) == (want_ho, want_wo)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # C order, as the window form's copy: the float matmul's rounding
+        # depends on the operand layout
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
+def test_patch_index_is_read_only_and_shared():
+    idx, _, _ = net._patch_index(2, 7, 6, 3, 2, 2)
+    assert idx.dtype == np.intp and idx is net._patch_index(2, 7, 6, 3, 2, 2)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0, 0] = 0
 
 
 class TestForwardFloat:
