@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
     pool_x = data.test_x if len(data.test_x) else data.train_x
     if not 0 <= args.sample_index < len(pool_x):
         raise TreaError(f"sample index {args.sample_index} out of range")
-    cfg = sched.ArrayConfig(mac_units=args.mac_units, f_clk=args.clock_hz)
+    cfg = sched.ArrayConfig(mac_units=args.mac_units)
     scores, trace = sched.simulate(model, pool_x[args.sample_index], cfg)
     lut_total, ff_total = metrics.load_device_profile(args.device_profile)
     platform = metrics.PlatformNumbers(

@@ -182,7 +182,6 @@ _TABLE_BITS = 19
 _BLOCK_BITS = 12
 _TABLE = np.zeros(1 << _TABLE_BITS, dtype=np.int32)
 _FILLED = np.zeros(1 << (_TABLE_BITS - _BLOCK_BITS), dtype=bool)
-_table_complete = False
 
 
 def _fill_blocks(blocks):
@@ -192,7 +191,6 @@ def _fill_blocks(blocks):
     12 MiB). A block past _ZMAX whose half block is filled takes one
     double-angle step per code from it instead of the CORDIC, which made a
     cold fill of all 128 blocks ~2.5x faster."""
-    global _table_complete
     missing = ~_FILLED[blocks]
     if missing.any():
         for b in np.unique(blocks[missing]):
@@ -206,15 +204,13 @@ def _fill_blocks(blocks):
             else:
                 _TABLE[lo:hi] = _tanh_internal_vec(z)
             _FILLED[b] = True
-        _table_complete = bool(_FILLED.all())
 
 
 def _tanh_lookup_vec(z):
     """`_tanh_internal_vec(z)` read from the table, as a new int64 array."""
     # |z| as unsigned, so that -2**63, which has no positive twin, saturates
     a = np.minimum(np.abs(z).view(np.uint64), len(_TABLE) - 1).view(np.int64)
-    if not _table_complete:
-        _fill_blocks(a >> _BLOCK_BITS)
+    _fill_blocks(a >> _BLOCK_BITS)
     t = _TABLE[a].astype(np.int64)
     return np.where(z < 0, -t, t)
 

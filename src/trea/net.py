@@ -20,7 +20,11 @@ loss. Both forward paths are one layer walk: `_layer_rows` lays a layer's
 input out as operand rows (im2col patches for conv, flattened rows for
 dense), one dot product per row and output channel gives the
 pre-activations, and `_fold` lays the activations out as the next layer's
-input. Every pass caches the same per-layer record for `_backward`.
+input. Every pass caches the same per-layer record for `_backward`, which
+walks the layers in reverse through the inverses: `_unfold` undoes `_fold`,
+and `_col2im` undoes a conv layer's `_layer_rows`, scattering patch
+gradients back through the same patch index. `_pads` is the one padding
+rule, and `_conv_out_hw` counts the windows of the padded input.
 
 The quantized accumulate is one shift-plane kernel, and the planes are the
 only encoding of a layer's weights: `_prepare_layer` reads each weight's
@@ -208,7 +212,6 @@ class NetworkDescriptor:
     input_shape: tuple[int, int, int]   # (channels, height, width)
     layers: list[LayerDescriptor]
     seed: int = 0
-    version: int = MODEL_VERSION
     # (structure, schedule) from `trea.sched`'s last plan; never copied or saved
     _schedule: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -255,16 +258,19 @@ class NetworkDescriptor:
         return replace(self, layers=[l.copy() for l in self.layers])
 
 
-def _conv_out_hw(h, w, kh, kw, stride, padding):
+def _pads(size, k, stride, padding):
+    """(before, after) zeros on one axis: none for "valid"; for "same", the
+    fewest that fit ceil(size / stride) windows, the odd one after."""
     if padding == "valid":
-        return (h - kh) // stride + 1, (w - kw) // stride + 1
-    return -(-h // stride), -(-w // stride)
-
-
-def _same_pads(size, k, stride):
-    out = -(-size // stride)
-    total = max((out - 1) * stride + k - size, 0)
+        return 0, 0
+    total = max((-(-size // stride) - 1) * stride + k - size, 0)
     return total // 2, total - total // 2
+
+
+def _conv_out_hw(h, w, kh, kw, stride, padding):
+    """Windows along each axis of the padded input."""
+    return tuple((n + sum(_pads(n, k, stride, padding)) - k) // stride + 1
+                 for n, k in ((h, kh), (w, kw)))
 
 
 # --------------------------------------------------------------------------
@@ -397,9 +403,8 @@ def _im2col(x, kh, kw, stride, padding):
     """(B, C, H, W) -> (B, P, C*kh*kw) patch matrix, P in (y, x) row-major:
     one gather through the precomputed `_patch_index` of the (padded) shape."""
     if padding == "same":
-        pt, pb = _same_pads(x.shape[2], kh, stride)
-        pl, pr = _same_pads(x.shape[3], kw, stride)
-        x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+        x = np.pad(x, ((0, 0), (0, 0), _pads(x.shape[2], kh, stride, padding),
+                       _pads(x.shape[3], kw, stride, padding)))
     b, c, h, w = x.shape
     idx, ho, wo = _patch_index(c, h, w, kh, kw, stride)
     # an explicit row size: reshape(0, -1) cannot infer it for an empty batch.
@@ -409,25 +414,17 @@ def _im2col(x, kh, kw, stride, padding):
 
 
 def _col2im(dcols, x_shape, kh, kw, stride, padding):
-    """Scatter-add patch gradients back onto the (padded) input image."""
+    """The transpose of `_im2col`: (B, P, C*kh*kw) patch gradients summed
+    onto the (B, C, H, W) input through the same `_patch_index`, then cropped
+    by the pads. `np.bincount` adds each pixel's terms to 0.0 in patch order."""
     b, c, h, w = x_shape
-    if padding == "same":
-        pt, pb = _same_pads(h, kh, stride)
-        pl, pr = _same_pads(w, kw, stride)
-    else:
-        pt = pb = pl = pr = 0
+    (pt, pb), (pl, pr) = _pads(h, kh, stride, padding), _pads(w, kw, stride, padding)
     hp, wp = h + pt + pb, w + pl + pr
-    dx = np.zeros((b, c, hp, wp), dtype=np.float64)
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    p = 0
-    for i in range(ho):
-        for j in range(wo):
-            dx[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw] += (
-                dcols[:, p].reshape(b, c, kh, kw)
-            )
-            p += 1
-    return dx[:, :, pt:hp - pb or None, pl:wp - pr or None]
+    idx, _, _ = _patch_index(c, hp, wp, kh, kw, stride)
+    n = c * hp * wp
+    dx = np.bincount((idx + n * np.arange(b)[:, None, None]).ravel(),
+                     dcols.ravel(), minlength=b * n)
+    return dx.reshape(b, c, hp, wp)[:, :, pt:pt + h, pl:pl + w]
 
 
 def _layer_rows(layer: LayerDescriptor, act):
@@ -546,27 +543,24 @@ def _backward(model, caches, logits, labels, lr):
         if idx != len(model.layers) - 1:
             delta = delta * _af_deriv_from_output(layer.activation, cache["a"])
         gb = delta.sum(tuple(range(delta.ndim - 1)))
+        # before the update: the float pass's wmat may view the weights
+        drows = delta @ cache["wmat"] if idx > 0 else None
         if layer.kind == "dense":
             gw = delta.T @ cache["cols"]
-            dprev = delta @ cache["wmat"]
         else:
-            gw = np.einsum("bpo,bpk->ok", delta, cache["cols"]).reshape(
-                layer.weights.shape
-            )
-            dprev = None
-            if idx > 0:
-                dcols = delta @ cache["wmat"]
-                dprev = _col2im(dcols, cache["in_shape"],
-                                *layer.weights.shape[2:], layer.stride, layer.padding)
+            gw = np.einsum("bpo,bpk->ok", delta, cache["cols"])
+            if drows is not None:
+                drows = _col2im(drows, cache["in_shape"], *layer.weights.shape[2:],
+                                layer.stride, layer.padding)
+        gw = gw.reshape(layer.weights.shape)
         if layer.mask is not None:
             gw = gw * layer.mask.flags
-        layer.weights -= lr * gw.reshape(layer.weights.shape)
+        layer.weights -= lr * gw
         layer.bias -= lr * gb
         if layer.mask is not None:
             layer.weights *= layer.mask.flags  # pruned positions stay zero
-        if idx == 0:
-            break
-        delta = _unfold(dprev, caches[idx - 1]["z"].shape)
+        if drows is not None:
+            delta = _unfold(drows, caches[idx - 1]["z"].shape)
     if not math.isfinite(loss):
         raise DivergenceError(f"loss became non-finite: {loss}")
     return loss
@@ -927,7 +921,7 @@ def save_model(model: NetworkDescriptor, path):
         ))
     manifest = dict(
         name=model.name,
-        version=model.version,
+        version=MODEL_VERSION,
         seed=model.seed,
         input_shape=list(model.input_shape),
         layers=layer_entries,
@@ -1062,5 +1056,4 @@ def load_model(path) -> NetworkDescriptor:
         input_shape=_manifest_field(manifest, "input_shape", "manifest", _shape),
         layers=layers,
         seed=_manifest_field(manifest, "seed", "manifest", _int, default=0),
-        version=version,
     )

@@ -15,6 +15,7 @@ while that structure compares equal, and every function here reads them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -73,7 +74,10 @@ class CycleTrace:
     def cpfi(self) -> int:
         return self.dnn_done.cycle
 
-    @property
+    # Found once per trace, as `fxp.FxPFormat`'s constants: a frozen
+    # dataclass without slots lets cached_property fill the instance dict.
+    # An exception is not cached, so a malformed trace raises on every read.
+    @functools.cached_property
     def dnn_done(self) -> TraceEvent:
         done = [e for e in self.events if e.kind is EventKind.DNN_DONE]
         if len(done) != 1:

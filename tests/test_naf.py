@@ -67,13 +67,12 @@ class TestTable:
     def test_fills_only_the_blocks_it_reads(self, monkeypatch):
         monkeypatch.setattr(naf, "_TABLE", np.zeros_like(naf._TABLE))
         monkeypatch.setattr(naf, "_FILLED", np.zeros_like(naf._FILLED))
-        monkeypatch.setattr(naf, "_table_complete", False)
         z = np.array([5, -4100, 1 << 40], dtype=np.int64)
         np.testing.assert_array_equal(naf._tanh_lookup_vec(z), naf._tanh_internal_vec(z))
         assert np.flatnonzero(naf._FILLED).tolist() == [0, 1, len(naf._FILLED) - 1]
-        assert not naf._table_complete
+        assert not naf._FILLED.all()
         naf._tanh_lookup_vec(np.arange(len(naf._TABLE)))
-        assert naf._table_complete
+        assert naf._FILLED.all()
 
     def test_upper_blocks_step_from_their_half_blocks(self, monkeypatch):
         # a block past the CORDIC's range whose half block is filled is one
@@ -81,7 +80,6 @@ class TestTable:
         # block within the range, runs the CORDIC
         monkeypatch.setattr(naf, "_TABLE", np.zeros_like(naf._TABLE))
         monkeypatch.setattr(naf, "_FILLED", np.zeros_like(naf._FILLED))
-        monkeypatch.setattr(naf, "_table_complete", False)
         cordic, blocks = naf._tanh_internal_vec, []
 
         def spy(z):
@@ -93,7 +91,7 @@ class TestTable:
         naf._fill_blocks(np.arange(len(naf._FILLED)))
         assert blocks == [100] + [b for b in range(len(naf._FILLED))
                                   if b << naf._BLOCK_BITS <= naf._ZMAX]
-        assert naf._table_complete
+        assert naf._FILLED.all()
         np.testing.assert_array_equal(naf._TABLE, cordic(np.arange(len(naf._TABLE))))
 
     def test_boundary_tables_fill_no_block_past_saturation(self, monkeypatch):
@@ -101,7 +99,6 @@ class TestTable:
         # code, whose outputs are pinned, so tanh reads no block beyond sat's
         monkeypatch.setattr(naf, "_TABLE", np.zeros_like(naf._TABLE))
         monkeypatch.setattr(naf, "_FILLED", np.zeros_like(naf._FILLED))
-        monkeypatch.setattr(naf, "_table_complete", False)
         data = net.synth_dataset(seed=42, n_train=240, n_test=96)
         model = net.train_reference("desk", data, epochs=15, lr=0.08, seed=7)
         sat = round(saturation_threshold(7) * self.ONE)

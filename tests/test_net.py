@@ -61,10 +61,8 @@ class TestDataset:
 
 
 def _naive_conv(x, w, b, stride, padding):
-    if padding == "same":
-        pt, pb = net._same_pads(x.shape[1], w.shape[2], stride)
-        pl, pr = net._same_pads(x.shape[2], w.shape[3], stride)
-        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr)))
+    x = np.pad(x, ((0, 0), net._pads(x.shape[1], w.shape[2], stride, padding),
+                   net._pads(x.shape[2], w.shape[3], stride, padding)))
     co, ci, kh, kw = w.shape
     ho = (x.shape[1] - kh) // stride + 1
     wo = (x.shape[2] - kw) // stride + 1
@@ -100,10 +98,8 @@ def _naive_forward(model, x):
 
 def _im2col_windows(x, kh, kw, stride, padding):
     """The strided-window form of `net._im2col`, kept as its oracle."""
-    if padding == "same":
-        pt, pb = net._same_pads(x.shape[2], kh, stride)
-        pl, pr = net._same_pads(x.shape[3], kw, stride)
-        x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    x = np.pad(x, ((0, 0), (0, 0), net._pads(x.shape[2], kh, stride, padding),
+                   net._pads(x.shape[3], kw, stride, padding)))
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     b, c, ho, wo = win.shape[:4]
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * kh * kw), ho, wo
@@ -129,6 +125,59 @@ def test_im2col_gather_matches_the_window_form(dtype):
         # depends on the operand layout
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
+
+
+def _col2im_loop(dcols, x_shape, kh, kw, stride, padding):
+    """The per-patch slice-add form of `net._col2im`, kept as its oracle."""
+    b, c, h, w = x_shape
+    pt, pb = net._pads(h, kh, stride, padding)
+    pl, pr = net._pads(w, kw, stride, padding)
+    hp, wp = h + pt + pb, w + pl + pr
+    dx = np.zeros((b, c, hp, wp))
+    p = 0
+    for i in range((hp - kh) // stride + 1):
+        for j in range((wp - kw) // stride + 1):
+            dx[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw] += (
+                dcols[:, p].reshape(b, c, kh, kw)
+            )
+            p += 1
+    return dx[:, :, pt:hp - pb or None, pl:wp - pr or None]
+
+
+def _random_geometry(rng):
+    """(kh, kw, stride, padding, h, w): kernels 1-5, strides 1-3 (stride >
+    kernel leaves pixels no patch covers), inputs from kernel size up."""
+    kh, kw = (int(k) for k in rng.integers(1, 6, size=2))
+    stride = int(rng.integers(1, 4))
+    padding = str(rng.choice(["valid", "same"]))
+    return kh, kw, stride, padding, int(rng.integers(kh, 10)), int(rng.integers(kw, 10))
+
+
+def test_col2im_is_the_patch_loop_byte_for_byte():
+    rng = np.random.default_rng(83)
+    geometries = [_random_geometry(rng) for _ in range(300)]
+    geometries += [(k, k, s, p, k, k) for k in (1, 3, 5) for s in (1, 2, 3)
+                   for p in ("valid", "same")]       # kernel = input
+    for kh, kw, stride, padding, h, w in geometries:
+        b, c = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        ho, wo = net._conv_out_hw(h, w, kh, kw, stride, padding)
+        dcols = rng.normal(size=(b, ho * wo, c * kh * kw))
+        dcols[rng.random(dcols.shape) < 0.2] = -0.0     # signed zeros must survive
+        got = net._col2im(dcols, (b, c, h, w), kh, kw, stride, padding)
+        want = _col2im_loop(dcols, (b, c, h, w), kh, kw, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape == (b, c, h, w)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), (
+            kh, kw, stride, padding, h, w)
+
+
+def test_conv_out_hw_counts_the_patches_of_the_padded_input():
+    rng = np.random.default_rng(89)
+    for _ in range(300):
+        kh, kw, stride, padding, h, w = _random_geometry(rng)
+        pt, pb = net._pads(h, kh, stride, padding)
+        pl, pr = net._pads(w, kw, stride, padding)
+        _, ho, wo = net._patch_index(1, h + pt + pb, w + pl + pr, kh, kw, stride)
+        assert net._conv_out_hw(h, w, kh, kw, stride, padding) == (ho, wo)
 
 
 def test_patch_index_is_read_only_and_shared():
@@ -382,6 +431,16 @@ class TestSerialization:
         rewrite_manifest(p, lambda m: m.update(version=42))
         with pytest.raises(FormatError, match="42"):
             net.load_model(p)
+
+    def test_saved_version_is_the_format_version(self, desk_model, tmp_path):
+        # the version belongs to the file format, not the descriptor
+        p, seen = tmp_path / "m.tmdl", []
+        net.save_model(desk_model, p)
+        rewrite_manifest(p, lambda m: seen.append(m["version"]))
+        assert seen == [net.MODEL_VERSION]
+        with pytest.raises(TypeError, match="version"):
+            net.NetworkDescriptor("t", desk_model.input_shape, desk_model.layers,
+                                  version=net.MODEL_VERSION)
 
     def test_missing_field_path_named(self, desk_model, tmp_path):
         p = tmp_path / "m.tmdl"

@@ -149,6 +149,27 @@ class TestTraceExport:
         with pytest.raises(DomainError):
             t.validate()
 
+    def test_dnn_done_is_found_once(self):
+        events = (sched.TraceEvent(3, EventKind.LAYER_DONE, 0, 0),
+                  sched.TraceEvent(4, EventKind.DNN_DONE, 0, 0))
+        t = CycleTrace(events)
+        assert t.cpfi == 4 and t.dnn_done is events[1]
+        assert t == CycleTrace(events) and hash(t) == hash(CycleTrace(events))
+        # later reads do not scan the events again
+        object.__setattr__(t, "events", ())
+        assert t.cpfi == 4 and t.dnn_done is events[1]
+        assert "dnn_done" not in repr(t)
+
+    @pytest.mark.parametrize("done", [0, 2])
+    def test_trace_without_one_dnn_done_raises_on_every_read(self, done):
+        t = CycleTrace(tuple(sched.TraceEvent(4, EventKind.DNN_DONE, 0, 0)
+                             for _ in range(done)))
+        for _ in range(3):
+            with pytest.raises(DomainError, match=f"{done} DnnDone"):
+                t.cpfi
+            with pytest.raises(DomainError, match=f"{done} DnnDone"):
+                t.dnn_done
+
 
 def _stepped(model, mac_units):
     """An independent array model stepped one clock at a time: the trace
