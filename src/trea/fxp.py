@@ -284,7 +284,9 @@ def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
     t = _integer(t, "iteration count")
     if t < 1:
         raise DomainError(f"iteration count must be >= 1, got {t}")
-    return _term_table(fmt, t)
+    # greedy MSD uses each of the F+1 shifts at most once, so every larger t
+    # gives the same table: the cache holds at most F+1 tables per format
+    return _term_table(fmt, min(t, fmt.frac_bits + 1))
 
 
 @functools.cache

@@ -40,10 +40,11 @@ requantization of every FxP8 code. Overflow keeps the hardware's per-add
 semantics. Operands are codes of the layer's format, so `_prepare_layer`
 screens the outputs once from the layer alone, and for the few it cannot
 clear the prefix sums at operand boundaries decide exactly. QAT's effective
-weights are sum_m 2**-m C_m times mn_scale. Each descriptor keeps its last
-prepared layer for the forward pass, reused while everything
-`_prepare_layer` reads compares equal by value to what it was built from, so
-in-place edits rebuild it and nothing needs invalidating.
+weights are sum_m 2**-m C_m times mn_scale. A layer's weights, bias and
+mask flags are sealed read-only arrays (`_sealed`), so they change only by
+assignment, and each descriptor keeps its last prepared layer for the forward
+pass, keyed on identity: reused while the layer holds the same arrays and
+mask and equal scalars, so nothing needs invalidating.
 A prepared layer's boundary is a function of the accumulator code alone, and
 no accumulator leaves [-R, R] with R the layer's bound on |bias| + reach, so
 `_prepare_layer` runs the chain once over every code in that range and the
@@ -106,6 +107,25 @@ MODEL_VERSION = 1
 # descriptors
 
 
+def _seal(a: np.ndarray) -> np.ndarray:
+    """A read-only view of `a`, which must own its data and is made
+    read-only too: numpy refuses to set a view writable while its base is
+    not, so the view can never be edited in place."""
+    a.setflags(write=False)
+    return a.view()
+
+
+def _sealed(value, dtype) -> np.ndarray:
+    """`value` as a sealed `dtype` array: kept if it already is one, so
+    sealed arrays are shared, and otherwise copied, so the caller's array
+    stays writable."""
+    base = getattr(value, "base", None)
+    if (isinstance(base, np.ndarray) and value.dtype == dtype and base.flags.owndata
+            and not (value.flags.writeable or base.flags.writeable)):
+        return value
+    return _seal(np.array(value, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class SparsityMask:
     """Boolean retention flags plus the exact per-window retained count
@@ -117,8 +137,7 @@ class SparsityMask:
     retained_per_window: int
 
     def __post_init__(self):
-        flags = np.array(self.flags, dtype=bool)  # a copy: the caller's array stays writable
-        flags.setflags(write=False)  # masks are frozen once built
+        flags = _sealed(self.flags, bool)   # masks are frozen once built
         object.__setattr__(self, "flags", flags)
         if flags.ndim == 4 and np.any(flags.sum(axis=(2, 3)) != self.retained_per_window):
             raise ShapeMismatch(
@@ -133,6 +152,10 @@ class SparsityMask:
 
 @dataclass
 class LayerDescriptor:
+    """One layer. `weights` and `bias` are sealed float64 arrays (see
+    `_sealed`) at construction and at every assignment, so they change only
+    by assignment; `copy()` shares them."""
+
     kind: str                      # "conv2d" | "dense"
     activation: AfSelect
     precision: MacMode
@@ -142,14 +165,18 @@ class LayerDescriptor:
     mask: SparsityMask | None = None
     stride: int = 1
     padding: str = "valid"
-    # (state, _QuantLayer) from the last `_prepare_layer`; never copied or saved
+    # (scalars, weights, bias, mask, _QuantLayer) from the last
+    # `_prepare_layer`; never copied or saved
     _prepared: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name in ("weights", "bias"):
+            value = _sealed(value, np.float64)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         if self.kind not in ("conv2d", "dense"):
             raise ShapeMismatch(f"unknown layer kind {self.kind!r}")
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
         want = 4 if self.kind == "conv2d" else 2
         if self.weights.ndim != want:
             raise ShapeMismatch(
@@ -203,7 +230,7 @@ class LayerDescriptor:
         self.mn_scale, _ = mn_normalize(w, self.precision.fmt)
 
     def copy(self) -> "LayerDescriptor":
-        return replace(self, weights=self.weights.copy(), bias=self.bias.copy())
+        return replace(self)
 
 
 @dataclass
@@ -422,8 +449,9 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
     hp, wp = h + pt + pb, w + pl + pr
     idx, _, _ = _patch_index(c, hp, wp, kh, kw, stride)
     n = c * hp * wp
+    # float64 also for an empty batch, whose bincount numpy gives as int64
     dx = np.bincount((idx + n * np.arange(b)[:, None, None]).ravel(),
-                     dcols.ravel(), minlength=b * n)
+                     dcols.ravel(), minlength=b * n).astype(np.float64, copy=False)
     return dx.reshape(b, c, hp, wp)[:, :, pt:pt + h, pl:pl + w]
 
 
@@ -527,8 +555,9 @@ def _minibatches(dataset: Dataset, epochs: int, lr: float, seed: int):
 
 def _backward(model, caches, logits, labels, lr):
     """Shared SGD backward from cross-entropy on the last layer's
-    pre-activation. Updates weights in place; masked positions get no
-    gradient. Caches may hold either float or quantized forward values.
+    pre-activation. Assigns each layer fresh weights and bias, sealed without
+    a copy; masked positions get no gradient and stay zero. Caches may hold
+    either float or quantized forward values.
     Returns the loss, raising `DivergenceError` after the update if it is
     not finite."""
     batch = logits.shape[0]
@@ -543,7 +572,6 @@ def _backward(model, caches, logits, labels, lr):
         if idx != len(model.layers) - 1:
             delta = delta * _af_deriv_from_output(layer.activation, cache["a"])
         gb = delta.sum(tuple(range(delta.ndim - 1)))
-        # before the update: the float pass's wmat may view the weights
         drows = delta @ cache["wmat"] if idx > 0 else None
         if layer.kind == "dense":
             gw = delta.T @ cache["cols"]
@@ -555,10 +583,13 @@ def _backward(model, caches, logits, labels, lr):
         gw = gw.reshape(layer.weights.shape)
         if layer.mask is not None:
             gw = gw * layer.mask.flags
-        layer.weights -= lr * gw
-        layer.bias -= lr * gb
+        w = lr * gw      # fresh: the new weights overwrite it, with no second array
+        np.subtract(layer.weights, w, out=w)
         if layer.mask is not None:
-            layer.weights *= layer.mask.flags  # pruned positions stay zero
+            w *= layer.mask.flags  # pruned positions stay zero
+        # sealed here, so the assignment hook's check is skipped: on the desk
+        # model it cost ~5% of a backward pass
+        vars(layer).update(weights=_seal(w), bias=_seal(layer.bias - lr * gb))
         if drows is not None:
             delta = _unfold(drows, caches[idx - 1]["z"].shape)
     if not math.isfinite(loss):
@@ -609,9 +640,7 @@ def _requant_table(fmt: FxPFormat) -> np.ndarray:
     format `fmt`, read-only int8: the code c at index c & 0xFF, so the pass
     reads it at the codes' uint8 view. `_sat_encode_raw` is its oracle."""
     codes = np.arange(256, dtype=np.uint8).view(np.int8)
-    table = _sat_encode_raw(codes * BOUNDARY_FMT.lsb, fmt, np.int8)
-    table.setflags(write=False)
-    return table
+    return _seal(_sat_encode_raw(codes * BOUNDARY_FMT.lsb, fmt, np.int8))
 
 
 @dataclass
@@ -628,34 +657,20 @@ class _QuantLayer:
     boundary: np.ndarray | None = None  # int8 boundary code of acc at acc + R (prepared only)
 
 
-def _layer_state(layer: LayerDescriptor) -> tuple:
-    """Everything `_prepare_layer` reads from the layer."""
-    mask = layer.mask
-    return (layer.kind, layer.activation, layer.precision, layer.mn_scale,
-            layer.weights, layer.bias,
-            None if mask is None else mask.flags,
-            None if mask is None else mask.retained_per_window)
-
-
-def _same(a, b) -> bool:
-    """Equal by value, as `np.array_equal` for arrays, at less fixed cost."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.shape == b.shape and bool((a == b).all()))
-    return a == b
-
-
 def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     """The layer's `_QuantLayer` with its boundary table, rebuilt only when
-    the layer's state differs by value from the state it was last built
-    from, so in-place edits of the weights or bias count as changes."""
-    state = _layer_state(layer)
+    the layer holds other weights, bias or mask objects than it was last
+    built from, or scalars that compare unequal. Sealed arrays and frozen
+    masks change only by assignment, so identity is their state; the memo
+    holds the objects, not their ids, so an id cannot be reused."""
+    scalars = (layer.kind, layer.activation, layer.precision, layer.mn_scale)
     memo = layer._prepared
-    if memo is not None and all(map(_same, memo[0], state)):
-        return memo[1]
+    if (memo is not None and memo[0] == scalars and memo[1] is layer.weights
+            and memo[2] is layer.bias and memo[3] is layer.mask):
+        return memo[4]
     q = _build_quant_layer(layer)
     q.boundary = _boundary_table(layer, q.acc_bound)
-    layer._prepared = (tuple(v.copy() if isinstance(v, np.ndarray) else v for v in state), q)
+    layer._prepared = (scalars, layer.weights, layer.bias, layer.mask, q)
     return q
 
 
@@ -692,9 +707,8 @@ def _build_quant_layer(layer: LayerDescriptor) -> _QuantLayer:
     # the screen clears the others, and `_check_overflow` holds the suspects
     # inside the limit
     acc_bound = math.ceil(min(float(bound.max()), lim))
-    bias_raw.setflags(write=False)
     suspect.setflags(write=False)
-    return _QuantLayer(layer.out_channels, bias_raw, lim, planes, suspect, acc_bound)
+    return _QuantLayer(layer.out_channels, _seal(bias_raw), lim, planes, suspect, acc_bound)
 
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
@@ -789,8 +803,7 @@ def _boundary_table(layer: LayerDescriptor, r: int):
     for lo in range(0, len(table), _CHAIN_CHUNK):
         codes = np.arange(lo, min(lo + _CHAIN_CHUNK, len(table))) - r
         table[lo:lo + len(codes)] = _boundary_chain(layer, codes)[1]
-    table.setflags(write=False)
-    return table
+    return _seal(table)
 
 
 def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
@@ -802,8 +815,8 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
     pre_true = None
     caches = [] if with_cache else None
     for layer in model.layers:
-        # QAT changes every layer between passes: a memo would only add a
-        # compare and a copy, and hold the last step's planes while the next
+        # QAT changes every layer between passes and reads no boundary
+        # table: a memo would only hold the last step's planes while the next
         # are built, which costs page faults
         q = _build_quant_layer(layer) if with_cache else _prepare_layer(layer)
         fmt = layer.precision.fmt
@@ -1043,8 +1056,8 @@ def load_model(path) -> NetworkDescriptor:
             activation=_manifest_field(entry, "activation", where,
                                        lambda v: AfSelect.from_code(_int(v))),
             precision=_manifest_field(entry, "precision", where, MacMode),
-            weights=weights.copy(),
-            bias=bias.copy(),
+            weights=weights,
+            bias=bias,
             mn_scale=_manifest_field(entry, "mn_scale", where, _real),
             mask=mask,
             stride=_manifest_field(entry, "stride", where, _int, default=1),

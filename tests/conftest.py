@@ -40,7 +40,7 @@ def random_topology(rng: np.random.Generator):
         )))
     model = net.build_network(arch, (in_ch, size, size), seed=int(rng.integers(1 << 30)))
     for layer in model.layers:
-        layer.weights *= 0.5  # keep activations tame
+        layer.weights = layer.weights * 0.5  # keep activations tame
         layer.bias = rng.normal(0.0, 0.05, size=layer.bias.shape)
         layer.precision = MacMode.FXP4_SIMD if rng.random() < 0.5 else MacMode.FXP8
         if layer.kind == "conv2d" and rng.random() < 0.5:

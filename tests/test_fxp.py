@@ -361,18 +361,19 @@ def test_error_sweep_rows():
 
 def test_error_sweep_matches_exhaustive_oracle():
     # the max is the scalar oracle's, exactly; the means are pinned to the
-    # floats of the per-weight summation order
+    # floats of the per-weight summation order, also past the F+1 shifts
     one = 1 << FXP4.frac_bits
     xs = [FxPValue(r, FXP4) for r in range(FXP4.raw_min, FXP4.raw_max + 1)]
     ws = [FxPValue(r, FXP4) for r in range(1 - one, one)]
-    rows = error_sweep(FXP4, [1, 2, 3])
+    rows = error_sweep(FXP4, [1, 2, 3, 4, 5, 40])
     for t, mx, _ in rows:
         want = max(abs(Fraction(x.raw * w.raw, one * one)
                        - Fraction(potq_multiply(x, w, t).raw, one))
                    for x in xs for w in ws)
         assert mx == want
     assert [mn for _, _, mn in rows] == [0.07994791666666666, 0.06640625,
-                                         0.07083333333333333]
+                                         0.07083333333333333, 0.07083333333333333,
+                                         0.07083333333333333, 0.07083333333333333]
 
 
 TABLE_DEPTHS = [(fmt, t) for fmt in (FXP4, FXP8) for t in range(1, fmt.frac_bits + 1)]
@@ -402,6 +403,16 @@ def test_term_table_is_cached_and_read_only(fmt):
         table[0, 0] = 0
     with pytest.raises(DomainError):
         term_table(fmt, 0)
+
+
+@pytest.mark.parametrize("fmt", [FXP4, FXP8, FxPFormat(6, 4)], ids=["FXP4", "FXP8", "FXP6_4"])
+def test_term_table_cache_holds_at_most_one_table_per_shift(fmt):
+    # greedy MSD uses each of the F+1 shifts at most once, so depths past it
+    # share one table, equal to the one built at that depth
+    fxp._term_table.cache_clear()
+    for t in range(1, 41):
+        np.testing.assert_array_equal(term_table(fmt, t), fxp._term_table.__wrapped__(fmt, t))
+    assert fxp._term_table.cache_info().currsize <= fmt.frac_bits + 1
 
 
 def test_term_table_codes_beyond_one_have_no_terms():

@@ -29,7 +29,7 @@ def _layer_operands(rng, layer, batch):
 
 
 def _inflate_bias(rng, layer, acc_limit):
-    """Move one output's bias, in place, out of the N-bit range, to within
+    """Move one output's bias out of the N-bit range, to within
     about sqrt(K) operands of the accumulator limit or just past it, so that
     the bias alone, a later add, or nothing overflows."""
     fmt = layer.precision.fmt
@@ -39,7 +39,7 @@ def _inflate_bias(rng, layer, acc_limit):
     o = int(rng.integers(layer.out_channels))
     gap = int(rng.integers(-one // 2, int(np.sqrt(k) * one / 2)))
     raw[o] = rng.choice([-1, 1]) * (acc_limit - gap)
-    layer.bias[:] = raw * layer.mn_scale / one
+    layer.bias = raw * layer.mn_scale / one
 
 
 def _scalar_chain(xs, ws, bias_raw, mode, width):
@@ -313,21 +313,24 @@ def test_prepare_layer_rejects_values_outside_the_code_table(field, poke):
 
 
 def _poke_weight(rng, layer):
-    # one retained weight in place, to half the largest magnitude with its
-    # sign flipped, so that its code changes
-    w = layer.weights
+    # one retained weight, to half the largest magnitude with its sign
+    # flipped, so that its code changes
+    w = layer.weights.copy()
     keep = np.arange(w.size) if layer.mask is None else np.flatnonzero(layer.mask.flags)
     i = np.unravel_index(rng.choice(keep), w.shape)
     w[i] = -np.copysign(0.5 * np.abs(layer.masked_weights()).max(), w[i])
+    layer.weights = w
 
 
 def _poke_bias(rng, layer):
-    # one bias in place: inflated to the accumulator limit, or moved by a
-    # quarter of the layer's range
+    # one bias: inflated to the accumulator limit, or moved by a quarter of
+    # the layer's range
     if rng.random() < 0.5:
         _inflate_bias(rng, layer, net._prepare_layer(layer).acc_limit)
     else:
-        layer.bias[rng.integers(layer.out_channels)] += 0.25 * layer.mn_scale
+        bias = layer.bias.copy()
+        bias[rng.integers(layer.out_channels)] += 0.25 * layer.mn_scale
+        layer.bias = bias
 
 
 def _swap_mask(rng, layer):
@@ -365,8 +368,8 @@ def _outcome(model, xs):
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
 @pytest.mark.parametrize("seed", range(12))
 def test_prepared_layers_follow_every_change_to_the_model(seed, mutation):
-    # each descriptor keeps its prepared layer; after a change made in place
-    # or by assignment, a warm model scores or fails exactly as a cold copy
+    # each descriptor keeps its prepared layer; after any change, a warm
+    # model scores or fails exactly as a cold copy
     rng = np.random.default_rng(5000 + seed)
     model, x = random_topology(rng)
     xs = np.stack([x, rng.uniform(-0.9, 0.9, size=x.shape)])

@@ -170,6 +170,14 @@ def test_col2im_is_the_patch_loop_byte_for_byte():
             kh, kw, stride, padding, h, w)
 
 
+@pytest.mark.parametrize("padding", ["valid", "same"])
+def test_col2im_of_an_empty_batch_is_float64(padding):
+    # np.bincount of an empty index gives int64 whatever its weights
+    ho, wo = net._conv_out_hw(8, 9, 3, 3, 2, padding)
+    got = net._col2im(np.zeros((0, ho * wo, 2 * 9)), (0, 2, 8, 9), 3, 3, 2, padding)
+    assert got.dtype == np.float64 and got.shape == (0, 2, 8, 9)
+
+
 def test_conv_out_hw_counts_the_patches_of_the_padded_input():
     rng = np.random.default_rng(89)
     for _ in range(300):
@@ -514,6 +522,86 @@ class TestSerialization:
             net.load_model(p)
 
 
+def _masked_conv_layer():
+    rng = np.random.default_rng(3)
+    layer = net.LayerDescriptor("conv2d", AfSelect.TANH, MacMode.FXP8,
+                                rng.normal(0.0, 0.3, (2, 1, 3, 3)), np.full(2, 0.1))
+    layer.mask = sharp.prune_conv_weights(layer.weights)
+    layer.weights = layer.weights * layer.mask.flags
+    layer.refresh_mn_scale()
+    return layer
+
+
+_SEALED = {"weights": lambda layer: layer.weights,
+           "bias": lambda layer: layer.bias,
+           "mask.flags": lambda layer: layer.mask.flags}
+
+
+class TestSealedArrays:
+    """A layer's weights, bias and mask flags change only by assignment; the
+    prepared-layer memo is keyed on their identity."""
+
+    @pytest.mark.parametrize("name", sorted(_SEALED))
+    def test_in_place_writes_raise(self, name):
+        a = _SEALED[name](_masked_conv_layer())
+        before = a.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            np.logical_not(a, out=a)
+        np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize("name", sorted(_SEALED))
+    def test_cannot_be_set_writable_again(self, name):
+        a = _SEALED[name](_masked_conv_layer())
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+        assert not a.flags.writeable
+
+    def test_training_steps_leave_sealed_arrays(self, desk_data):
+        # `_backward` seals the fresh arrays it assigns
+        model = sharp.prune_model(net.train_reference("desk", desk_data, 1, 0.08, seed=7))
+        net.qat_finetune(model, desk_data, 1, 0.01, seed=1)
+        for layer in model.layers:
+            for a in (layer.weights, layer.bias):
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)
+
+    def test_assigned_caller_arrays_stay_writable_and_unchanged(self):
+        w, b = np.full((2, 4), 0.25), np.zeros(2)
+        layer = net.LayerDescriptor("dense", AfSelect.TANH, MacMode.FXP8, w, b)
+        b2 = np.ones(2)
+        layer.bias = b2
+        w[0, 0] = b2[0] = 5.0
+        assert (layer.weights == 0.25).all() and (layer.bias == 1.0).all()
+        layer.weights = [[1, 0, 0, 0], [0, 0, 0, 1]]    # converted to float64
+        assert layer.weights.dtype == np.float64
+
+    def test_copy_shares_the_arrays_and_keeps_its_own_memo(self, desk_data):
+        layer = _masked_conv_layer()
+        model = net.NetworkDescriptor("m", (1, 5, 5), [layer])
+        x = desk_data.test_x[:2, :, :5, :5]
+        want = net.forward_quant(model, x)
+        memo = layer._prepared
+        twin = layer.copy()
+        assert (twin.weights is layer.weights and twin.bias is layer.bias
+                and twin.mask is layer.mask)
+        twin.weights = twin.weights * -1.0
+        twin.bias = twin.bias + 0.25
+        net.forward_quant(net.NetworkDescriptor("m", (1, 5, 5), [twin]), x)
+        assert twin._prepared is not None and layer._prepared is memo
+        np.testing.assert_array_equal(net.forward_quant(model, x), want)
+        assert layer._prepared is memo
+
+    def test_memo_follows_identity_not_value(self):
+        layer = _masked_conv_layer()
+        q = net._prepare_layer(layer)
+        layer.mn_scale = float(layer.mn_scale)          # an equal scalar
+        assert net._prepare_layer(layer) is q
+        layer.weights = layer.weights.copy()            # an equal, other array
+        assert net._prepare_layer(layer) is not q
+
+
 class TestDescriptors:
     def test_empty_layer_rejected_at_construction(self):
         with pytest.raises(ShapeMismatch):
@@ -614,7 +702,9 @@ class TestBackward:
                 for idx in np.ndindex(got.shape):
                     for sign in (1, -1):
                         probe = model.copy()
-                        getattr(probe.layers[i], attr)[idx] += sign * h
+                        moved = getattr(probe.layers[i], attr).copy()
+                        moved[idx] += sign * h
+                        setattr(probe.layers[i], attr, moved)
                         want[idx] += sign * loss(probe) / (2 * h)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
                                            err_msg=f"layer {i} {attr}")

@@ -342,10 +342,10 @@ class TestScheduleMemo:
         model, before = self._warm()
         rng = np.random.default_rng(4)
         for layer in model.layers:
-            layer.weights *= 0.5
-            layer.bias += 0.01
+            layer.weights = layer.weights * 0.5
+            layer.bias = layer.bias + 0.01
             layer.mask = sharp.prune_conv_weights(rng.normal(size=layer.weights.shape))
-            layer.weights *= layer.mask.flags
+            layer.weights = layer.weights * layer.mask.flags
             layer.refresh_mn_scale()
         model.layers[1] = model.layers[1].copy()
         got = _timing_of(model, ArrayConfig())
