@@ -10,6 +10,7 @@ explicit seeds, so every stage is reproducible byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,6 +24,7 @@ from .mac import MacMode, accumulator_width, conventional_accumulator_width
 _PRECISIONS = {"fxp4": FXP4, "fxp8": FXP8}
 
 
+@functools.cache   # built once per process: each parse starts from its defaults
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="trea", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -105,7 +107,7 @@ def _load_data(path) -> net.Dataset:
 def _cmd_gen_data(args) -> int:
     cfg = dict(seed=args.seed, classes=args.classes, image_size=args.image_size,
                n_train=args.n_train, n_test=args.n_test)
-    net.synth_dataset(**cfg)  # validate parameters before writing
+    net.check_dataset_args(**cfg)  # validate parameters before writing
     with open(args.out, "w") as fh:
         json.dump(cfg, fh, sort_keys=True)
         fh.write("\n")

@@ -51,6 +51,13 @@ no accumulator leaves [-R, R] with R the layer's bound on |bias| + reach, so
 forward pass reads the boundary from that table. QAT's passes, whose weights
 and mn_scale change every step, build each layer afresh and run the chain on
 their accumulators, since they also need the float pre-activations.
+
+The synthetic dataset is drawn frame by frame, in the stream's order: each
+frame's four jitter uniforms, then its noise. The bars are rendered
+afterwards over the noise, a chunk of frames at a time, with the per-frame
+form's arithmetic, so the bytes match a frame-at-a-time render.
+`check_dataset_args` is the dataset's argument check and size cap; it draws
+nothing, so `trea gen-data` runs only it.
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ __all__ = [
     "NetworkDescriptor",
     "Dataset",
     "synth_dataset",
+    "check_dataset_args",
     "build_network",
     "desk_arch",
     "train_reference",
@@ -154,7 +162,9 @@ class SparsityMask:
 class LayerDescriptor:
     """One layer. `weights` and `bias` are sealed float64 arrays (see
     `_sealed`) at construction and at every assignment, so they change only
-    by assignment; `copy()` shares them."""
+    by assignment; `copy()` shares them. Once built, an assigned array must
+    keep the shape it replaces, which every check on shapes passed, and be
+    finite, or the assignment raises and stores nothing."""
 
     kind: str                      # "conv2d" | "dense"
     activation: AfSelect
@@ -166,12 +176,19 @@ class LayerDescriptor:
     stride: int = 1
     padding: str = "valid"
     # (scalars, weights, bias, mask, _QuantLayer) from the last
-    # `_prepare_layer`; never copied or saved
+    # `_prepare_layer`, None before that; never copied or saved
     _prepared: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
         if name in ("weights", "bias"):
             value = _sealed(value, np.float64)
+            if "_prepared" in vars(self):   # built: its network's shapes hold
+                kept = vars(self)[name].shape
+                if value.shape != kept:
+                    raise ShapeMismatch(f"{name} must keep the layer's shape {kept}, "
+                                        f"got {value.shape}")
+                if not np.isfinite(value).all():
+                    raise DomainError(f"{name} must be finite")
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
@@ -197,6 +214,7 @@ class LayerDescriptor:
             raise DomainError("weights, bias and mn_scale must be finite")
         if self.mn_scale <= 0:
             raise ShapeMismatch("mn_scale must be positive")
+        self._prepared = None   # in `vars` from here on: the layer is built
 
     @property
     def out_channels(self) -> int:
@@ -315,12 +333,19 @@ class Dataset:
     image_size: int
 
 
-def synth_dataset(
-    seed: int, n_train: int, n_test: int, classes: int = 3, image_size: int = 12
-) -> Dataset:
-    """Seeded class-conditional patterns: one oriented bar per class with
-    jittered position, width, amplitude and additive noise. Bit-exactly
-    reproducible from the seed."""
+# The size cap: frames of at most _MAX_IMAGE_SIZE pixels a side, and at most
+# _MAX_PIXELS pixels over both splits (128 MiB of float64, plus each split's
+# permuted copy), so an absurd request is rejected before any allocation.
+_MAX_IMAGE_SIZE = 256
+_MAX_PIXELS = 1 << 24
+
+
+def check_dataset_args(seed: int, n_train: int, n_test: int, classes: int = 3,
+                       image_size: int = 12) -> None:
+    """`synth_dataset`'s argument checks, which draw and allocate nothing:
+    each argument an integer, seed, n_train and n_test >= 0, classes >= 2,
+    8 <= image_size <= 256, and (n_train + n_test) * image_size**2 at most
+    2**24 pixels. Raises `DomainError` naming the field."""
     for name, value, least in (("seed", seed, 0), ("n_train", n_train, 0),
                                ("n_test", n_test, 0), ("classes", classes, 2),
                                ("image_size", image_size, 8)):
@@ -328,30 +353,77 @@ def synth_dataset(
             raise DomainError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise DomainError(f"{name} must be >= {least}, got {value}")
+    if image_size > _MAX_IMAGE_SIZE:
+        raise DomainError(f"image_size must be <= {_MAX_IMAGE_SIZE}, got {image_size}")
+    pixels = (int(n_train) + int(n_test)) * int(image_size) ** 2
+    if pixels > _MAX_PIXELS:
+        raise DomainError(f"(n_train + n_test) * image_size**2 must be <= {_MAX_PIXELS} "
+                          f"pixels, got {pixels}")
+
+
+def synth_dataset(
+    seed: int, n_train: int, n_test: int, classes: int = 3, image_size: int = 12
+) -> Dataset:
+    """Seeded class-conditional patterns: one oriented bar per class with
+    jittered position, width, amplitude and additive noise. Bit-exactly
+    reproducible from the seed. See `check_dataset_args` for the arguments
+    and the size cap."""
+    check_dataset_args(seed, n_train, n_test, classes, image_size)
     rng = np.random.default_rng(seed)
     tx, ty = _synth_split(rng, n_train, classes, image_size)
     sx, sy = _synth_split(rng, n_test, classes, image_size)
     return Dataset(tx, ty, sx, sy, seed, classes, image_size)
 
 
+# Frames rendered per pass: the render's temporaries stay this many frames big.
+_RENDER_CHUNK = 64
+
+# (low, high) of each frame's uniform ox, oy, width and amplitude, in draw order
+_JITTER_LOW, _JITTER_HIGH = np.array([(-1.5, 1.5), (-1.5, 1.5), (0.9, 1.4), (0.7, 0.95)]).T
+
+
 def _synth_split(rng, n, classes, size):
+    """n frames, frame i of class i % classes, then shuffled by one
+    permutation. Per frame the stream holds four uniforms (ox, oy, width,
+    amplitude), then size**2 normals. numpy's `uniform` and `normal` are
+    low + (high - low) * U and 0.0 + 0.08 * Z, so drawing the raw variates
+    frame by frame and mapping them in bulk is byte-identical to drawing
+    each frame through them. The bars are rendered a chunk of frames at a
+    time, in place over the noise, in the per-frame form's operation order."""
     x = np.empty((n, 1, size, size), dtype=np.float64)
-    y = np.empty(n, dtype=np.int64)
+    y = np.arange(n, dtype=np.int64) % classes
+    u = np.empty((n, 4), dtype=np.float64)
+    for i in range(n):
+        rng.random(out=u[i])
+        rng.standard_normal(out=x[i, 0])
+    u *= _JITTER_HIGH - _JITTER_LOW
+    u += _JITTER_LOW
+    theta = [math.pi * k / classes for k in range(classes)]
+    sin = np.array([math.sin(t) for t in theta])[y, None, None]
+    cos = np.array([math.cos(t) for t in theta])[y, None, None]
+    ox, oy, width, amp = (u[:, j, None, None] for j in range(4))
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     center = (size - 1) / 2.0
-    for i in range(n):
-        k = i % classes
-        theta = math.pi * k / classes
-        ox, oy = rng.uniform(-1.5, 1.5, size=2)
-        dist = np.abs(
-            (xx - center - ox) * math.sin(theta) - (yy - center - oy) * math.cos(theta)
-        )
-        width = rng.uniform(0.9, 1.4)
-        amp = rng.uniform(0.7, 0.95)
-        img = amp * np.exp(-((dist / width) ** 2))
-        img += rng.normal(0.0, 0.08, size=(size, size))
-        x[i, 0] = np.clip(img, 0.0, 1.0 - 2.0 ** -7)
-        y[i] = k
+    gx, gy = xx - center, yy - center
+    for lo in range(0, n, _RENDER_CHUNK):
+        c = slice(lo, lo + _RENDER_CHUNK)
+        dist = gx - ox[c]
+        dist *= sin[c]
+        across = gy - oy[c]
+        across *= cos[c]
+        dist -= across
+        np.abs(dist, out=dist)
+        dist /= width[c]
+        bar = np.square(dist, out=dist)
+        np.negative(bar, out=bar)
+        np.exp(bar, out=bar)
+        bar *= amp[c]
+        # normal's 0.0 + 0.08 * Z differs from 0.08 * Z only at -0.0, which
+        # adding the bar (>= +0.0) maps to +0.0 anyway
+        noise = x[c, 0]
+        noise *= 0.08
+        noise += bar
+    np.clip(x, 0.0, 1.0 - 2.0 ** -7, out=x)
     if n:
         perm = rng.permutation(n)
         return x[perm], y[perm]
@@ -703,11 +775,11 @@ def _build_quant_layer(layer: LayerDescriptor) -> _QuantLayer:
     # sum leaves |bias| + reach; in float64 a bias code near or past the int64
     # range still reads as huge
     bound = np.abs(bias_raw.astype(np.float64)) + reach
-    suspect = np.flatnonzero(bound > lim - 1)
+    # `flatnonzero` views a writable array, so `_sealed` copies it
+    suspect = _sealed(np.flatnonzero(bound > lim - 1), np.intp)
     # the screen clears the others, and `_check_overflow` holds the suspects
     # inside the limit
     acc_bound = math.ceil(min(float(bound.max()), lim))
-    suspect.setflags(write=False)
     return _QuantLayer(layer.out_channels, _seal(bias_raw), lim, planes, suspect, acc_bound)
 
 

@@ -190,6 +190,49 @@ def test_gen_data_validates_before_writing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes, field", [
+    (["--n-train", "1000000000000"], "n_train + n_test"),
+    (["--image-size", "100000000", "--n-train", "1", "--n-test", "0"], "image_size"),
+], ids=["n-train", "image-size"])
+def test_gen_data_rejects_an_oversized_dataset(tmp_path, capsys, sizes, field):
+    # the size cap: exit 3 and one JSON error line, not a MemoryError
+    # traceback, and no descriptor that every later stage would reject
+    out = tmp_path / "x.json"
+    assert _run(["gen-data", "--seed", "1", *sizes, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "DomainError"
+    assert field in json.loads(err[0])["message"]
+    assert not out.exists()
+
+
+def test_gen_data_synthesizes_nothing(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gen-data synthesized a split")
+
+    monkeypatch.setattr(net, "_synth_split", refuse)
+    out = tmp_path / "d.json"
+    assert _run(["gen-data", "--seed", "5", "--n-train", "7", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"seed": 5, "n_train": 7, "n_test": 96,
+                                           "classes": 3, "image_size": 12}
+
+
+def test_parser_is_built_once_and_parses_each_command_afresh(monkeypatch):
+    seen = []
+    for command in ("train", "finetune"):
+        monkeypatch.setitem(cli._DISPATCH, command, lambda args: seen.append(vars(args)) or 0)
+    for argv in (["train", "--data", "d", "--out", "a", "--seed", "1", "--epochs", "3",
+                  "--lr", "0.5"],
+                 ["finetune", "--model", "m", "--data", "e", "--seed", "2", "--out", "b"],
+                 ["train", "--data", "f", "--out", "c", "--seed", "3"]):
+        assert cli.main(argv) == 0
+    assert seen == [
+        dict(command="train", data="d", out="a", epochs=3, lr=0.5, seed=1),
+        dict(command="finetune", model="m", data="e", epochs=5, lr=0.05, seed=2, out="b"),
+        dict(command="train", data="f", out="c", epochs=15, lr=0.08, seed=3),
+    ]
+    assert cli._build_parser() is cli._build_parser()
+
+
 _DATA = {"seed": 1, "n_train": 8, "n_test": 4, "classes": 3, "image_size": 8}
 _SIM = ["simulate", "--model", "{model}", "--data", "{data}",
         "--trace-out", "{out}", "--report-out", "{report}"]

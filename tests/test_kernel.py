@@ -307,7 +307,15 @@ def test_prepare_layer_rejects_values_outside_the_code_table(field, poke):
     rng = np.random.default_rng(3)
     model, _ = random_topology(rng)
     layer = model.layers[0]
-    setattr(layer, field, poke(getattr(layer, field)))
+    value = poke(getattr(layer, field))
+    if np.isfinite(value).all():
+        setattr(layer, field, value)
+    else:
+        # an assignment meets construction's checks; `_backward` stores its
+        # sealed arrays past them, as this does
+        with pytest.raises(DomainError):
+            setattr(layer, field, value)
+        vars(layer)[field] = net._seal(value)
     with pytest.raises(DomainError):
         net._prepare_layer(layer)
 
@@ -399,6 +407,8 @@ def test_prepared_layer_is_shared_and_read_only(wide_layers):
     for a in shared:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+        with pytest.raises(ValueError):   # sealed: no view of a writable base
+            a.setflags(write=True)
 
 
 # A weight code of 127 has the greedy terms 2**-1 .. 2**-5 at FxP8's depth of

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import math
 import struct
 import weakref
 
@@ -58,6 +60,76 @@ class TestDataset:
         args[field] = value
         with pytest.raises(DomainError, match=field):
             net.synth_dataset(**args)
+
+    # sha256 of train_x, train_y, test_x, test_y (`tobytes()`, in that order)
+    # as the per-frame synthesis made them
+    @pytest.mark.parametrize("args, digest", [
+        ((42, 240, 96, 3, 12), "0f4301474c9d60ba62195edeee9f0109b7fea89864a5bad345493397e5a95273"),
+        ((1, 17, 5, 2, 8), "6d6ae2344406e3c381d48c9229bf4c5f478a6e0a9c7d7d5920c16f360d067d15"),
+        ((7, 30, 11, 5, 16), "db537d67773d2a69037fee5bf98e4c4a2760bca7b159e355dfb45b25092d0c7d"),
+        ((3, 0, 64, 3, 12), "7b7f0611a095dec29c99495d683508ffc787a8d271e445afa6ba65f6f15fc133"),
+    ])
+    def test_golden_bytes(self, args, digest):
+        d = net.synth_dataset(*args)
+        h = hashlib.sha256()
+        for a in (d.train_x, d.train_y, d.test_x, d.test_y):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, net._RENDER_CHUNK + 5])
+    def test_chunked_render_is_the_per_frame_form(self, extra):
+        # frame counts on both sides of the chunk size, against the per-frame
+        # draws and render the chunked form replaces
+        n = net._RENDER_CHUNK + extra
+        for seed, classes, size in ((4, 3, 12), (8, 7, 9)):
+            want = _per_frame_split(np.random.default_rng(seed), n, classes, size)
+            got = net._synth_split(np.random.default_rng(seed), n, classes, size)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("field, args", [
+        ("image_size", dict(image_size=257)),
+        ("image_size", dict(image_size=100_000_000, n_train=1, n_test=0)),
+        ("n_train \\+ n_test", dict(n_train=1_000_000_000_000)),
+        ("n_train \\+ n_test", dict(n_train=np.int64(2**62), n_test=np.int64(2**62))),
+        ("n_train \\+ n_test", dict(n_train=(1 << 24) // 144 - 7, n_test=8)),
+    ], ids=["side-257", "side-1e8", "frames-1e12", "frames-int64-sum", "one-frame-over"])
+    def test_size_cap_rejects_before_any_draw(self, monkeypatch, field, args):
+        monkeypatch.setattr(np.random, "default_rng", None)   # nothing is drawn
+        with pytest.raises(DomainError, match=field):
+            net.synth_dataset(**{"seed": 1, "n_train": 4, "n_test": 4, **args})
+
+    def test_size_cap_admits_its_bound(self):
+        net.check_dataset_args(1, (1 << 24) // 144 - 7, 7)
+        net.check_dataset_args(1, 0, 0, image_size=256)
+        net.check_dataset_args(1, (1 << 24) // 256 ** 2, 0, image_size=256)
+
+
+def _per_frame_split(rng, n, classes, size):
+    """The per-frame synthesis: each frame's jitter and noise drawn through
+    `uniform` and `normal`, then rendered on its own."""
+    x = np.empty((n, 1, size, size), dtype=np.float64)
+    y = np.empty(n, dtype=np.int64)
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    center = (size - 1) / 2.0
+    for i in range(n):
+        k = i % classes
+        theta = math.pi * k / classes
+        ox, oy = rng.uniform(-1.5, 1.5, size=2)
+        dist = np.abs(
+            (xx - center - ox) * math.sin(theta) - (yy - center - oy) * math.cos(theta)
+        )
+        width = rng.uniform(0.9, 1.4)
+        amp = rng.uniform(0.7, 0.95)
+        img = amp * np.exp(-((dist / width) ** 2))
+        img += rng.normal(0.0, 0.08, size=(size, size))
+        x[i, 0] = np.clip(img, 0.0, 1.0 - 2.0 ** -7)
+        y[i] = k
+    if n:
+        perm = rng.permutation(n)
+        return x[perm], y[perm]
+    return x, y
 
 
 def _naive_conv(x, w, b, stride, padding):
@@ -662,6 +734,30 @@ class TestDescriptors:
             assert ref() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("weights", np.full((2, 4), 0.25), ShapeMismatch),
+        ("weights", np.full(3, 0.25), ShapeMismatch),
+        ("weights", np.full((2, 3), np.nan), DomainError),
+        ("bias", np.zeros(3), ShapeMismatch),
+        ("bias", np.array([0.0, np.inf]), DomainError),
+    ], ids=["weights-wider", "weights-1d", "weights-nan", "bias-longer", "bias-inf"])
+    def test_assignment_keeps_the_shape_and_stays_finite(self, field, value, error):
+        w, b = np.full((2, 3), 0.25), np.array([0.1, -0.1])
+        model = _dense_model(w, b)
+        layer = model.layers[0]
+        kept = getattr(layer, field)
+        want = net.forward_float(model, np.ones((1, 1, 3)))
+        with pytest.raises(error):
+            setattr(layer, field, value)
+        # the rejected value is not stored, and the layer still runs
+        assert getattr(layer, field) is kept
+        np.testing.assert_array_equal(net.forward_float(model, np.ones((1, 1, 3))), want)
+
+    def test_assignment_keeps_the_mask_shape(self):
+        layer = _masked_conv_layer()
+        with pytest.raises(ShapeMismatch, match="keep"):
+            layer.weights = np.zeros((2, 1, 2, 2))
 
     def test_mask_leaves_the_callers_array_writable(self):
         # the mask freezes its own copy, not the array it was built from
