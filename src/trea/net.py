@@ -355,6 +355,7 @@ def check_dataset_args(seed: int, n_train: int, n_test: int, classes: int = 3,
             raise DomainError(f"{name} must be >= {least}, got {value}")
     if image_size > _MAX_IMAGE_SIZE:
         raise DomainError(f"image_size must be <= {_MAX_IMAGE_SIZE}, got {image_size}")
+    # in Python ints, which cannot wrap as numpy integers can
     pixels = (int(n_train) + int(n_test)) * int(image_size) ** 2
     if pixels > _MAX_PIXELS:
         raise DomainError(f"(n_train + n_test) * image_size**2 must be <= {_MAX_PIXELS} "
@@ -401,7 +402,7 @@ def _synth_split(rng, n, classes, size):
     theta = [math.pi * k / classes for k in range(classes)]
     sin = np.array([math.sin(t) for t in theta])[y, None, None]
     cos = np.array([math.cos(t) for t in theta])[y, None, None]
-    ox, oy, width, amp = (u[:, j, None, None] for j in range(4))
+    ox, oy, width, amp = u.T[:, :, None, None]
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     center = (size - 1) / 2.0
     gx, gy = xx - center, yy - center

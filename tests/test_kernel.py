@@ -311,8 +311,8 @@ def test_prepare_layer_rejects_values_outside_the_code_table(field, poke):
     if np.isfinite(value).all():
         setattr(layer, field, value)
     else:
-        # an assignment meets construction's checks; `_backward` stores its
-        # sealed arrays past them, as this does
+        # an assignment must be finite; `_backward` stores its sealed arrays
+        # past that check, as this does
         with pytest.raises(DomainError):
             setattr(layer, field, value)
         vars(layer)[field] = net._seal(value)
