@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (TreaError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (TreaError, OSError, json.JSONDecodeError, UnicodeDecodeError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3

@@ -12,6 +12,11 @@ cached `term_table`, in shift-plane form sum_m sign_m * (x >> m). A weight
 code's decomposition is memoized per (code, F, t), as the hardware encodes its
 static weights once, offline; the per-call shift-and-add over those terms is
 what stays the oracle.
+
+`term_codes` holds the table's per-code siblings, derived from it and cached
+beside it: the signs in float32, each code's reach and greedy value, and the
+shifts it uses. A layer build gathers each from them once per weight code
+instead of making a pass per shift plane.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ __all__ = [
     "msd_decompose",
     "potq_multiply",
     "term_table",
+    "TermCodes",
+    "term_codes",
     "error_bound",
     "error_sweep",
 ]
@@ -281,12 +288,17 @@ def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
     sum_m sign_m 2**-m. Codes above 2**F in magnitude (formats with N > F+1)
     would need a negative shift; their columns are NaN.
     """
+    return _term_table(fmt, _table_depth(fmt, t))
+
+
+def _table_depth(fmt: FxPFormat, t) -> int:
+    """The depth a table of `fmt` is cached at for iteration count t."""
     t = _integer(t, "iteration count")
     if t < 1:
         raise DomainError(f"iteration count must be >= 1, got {t}")
     # greedy MSD uses each of the F+1 shifts at most once, so every larger t
-    # gives the same table: the cache holds at most F+1 tables per format
-    return _term_table(fmt, min(t, fmt.frac_bits + 1))
+    # gives the same table: a cache holds at most F+1 tables per format
+    return min(t, fmt.frac_bits + 1)
 
 
 @functools.cache
@@ -301,6 +313,51 @@ def _term_table(fmt: FxPFormat, t: int) -> np.ndarray:
             table[m, i] = sign
     table.flags.writeable = False
     return table
+
+
+@dataclass(frozen=True)
+class TermCodes:
+    """Per-code siblings of `term_table(fmt, t)`, indexed like its columns
+    (at raw - fmt.raw_min), read-only and shared:
+
+    - `signs`: the table in float32, which holds its +-1, 0 and NaN exactly;
+    - `reach`: sum_m 2**(F-m) |sign_m|, the largest magnitude the code's
+      terms take over the operand codes x, sum_m sign_m (x >> m);
+    - `value`: sum_m sign_m 2**-m, the code's greedy PoT approximation;
+    - `shifts`: bit m set when the code has a term with shift m.
+
+    A NaN column (a code above 2**F in magnitude) has NaN reach and value
+    and every shift bit set.
+    """
+
+    signs: np.ndarray
+    reach: np.ndarray
+    value: np.ndarray
+    shifts: np.ndarray
+
+
+def term_codes(fmt: FxPFormat, t: int) -> TermCodes:
+    """The per-code tables of `term_table(fmt, t)`, built from it once per
+    (fmt, t), t clamped as `term_table` clamps it."""
+    return _term_codes(fmt, _table_depth(fmt, t))
+
+
+@functools.cache
+def _term_codes(fmt: FxPFormat, t: int) -> TermCodes:
+    table = _term_table(fmt, t)
+    f = fmt.frac_bits
+    # every sum is of dyadic terms with at most F+1 bits, so each is exact
+    reach = np.zeros(table.shape[1])
+    value = np.zeros(table.shape[1])
+    shifts = np.zeros(table.shape[1], dtype=np.uint32)   # F + 1 <= 32 bits
+    for m, sign in enumerate(table):
+        reach += 2.0 ** (f - m) * np.abs(sign)
+        value += sign * 2.0 ** -m
+        shifts |= (sign != 0).astype(np.uint32) << m
+    codes = TermCodes(table.astype(np.float32), reach, value, shifts)
+    for a in vars(codes).values():
+        a.flags.writeable = False
+    return codes
 
 
 def error_bound(x: FxPValue, t: int, frac_bits: int) -> float:

@@ -126,21 +126,26 @@ def _div_round_vec(num, den, out_f):
 
 
 def _rescale_round_even_vec(raw, from_f, to_f):
+    """int64 codes at `from_f` fractional bits as new codes at `to_f`, rounded
+    half-even; no intermediate leaves int64, whatever the input."""
     if to_f >= from_f:
         return raw << (to_f - from_f)
     sh = from_f - to_f
     q = raw >> sh
-    r = raw - (q << sh)
-    half = 1 << (sh - 1)
-    up = (r > half) | ((r == half) & ((q & 1) == 1))
-    return q + up
+    # up when the dropped bits r pass half, or equal it with q odd: for an
+    # integer r, exactly when r + (q & 1) > half
+    q += (raw & ((1 << sh) - 1)) + (q & 1) > 1 << (sh - 1)
+    return q
 
 
 def _to_internal_vec(raw, frac_bits):
+    """`raw` as int64 codes at the internal scale; may be `raw` itself."""
     raw = np.asarray(raw, dtype=np.int64)
-    if frac_bits <= INTERNAL_FRAC_BITS:
+    if frac_bits < INTERNAL_FRAC_BITS:
         return raw << (INTERNAL_FRAC_BITS - frac_bits)
-    return raw >> (frac_bits - INTERNAL_FRAC_BITS)
+    if frac_bits > INTERNAL_FRAC_BITS:
+        return raw >> (frac_bits - INTERNAL_FRAC_BITS)
+    return raw
 
 
 def _tanh_internal_vec(z):
@@ -210,9 +215,12 @@ def _tanh_lookup_vec(z):
     """`_tanh_internal_vec(z)` read from the table, as a new int64 array."""
     # |z| as unsigned, so that -2**63, which has no positive twin, saturates
     a = np.minimum(np.abs(z).view(np.uint64), len(_TABLE) - 1).view(np.int64)
-    _fill_blocks(a >> _BLOCK_BITS)
+    blocks = a >> _BLOCK_BITS
+    if not _FILLED[blocks].all():
+        _fill_blocks(blocks)
     t = _TABLE[a].astype(np.int64)
-    return np.where(z < 0, -t, t)
+    np.negative(t, out=t, where=z < 0)
+    return t
 
 
 def saturation_threshold(frac_bits: int) -> float:
@@ -231,12 +239,16 @@ def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     z = _to_internal_vec(raw, in_frac_bits)
     top = (1 << out_frac_bits) - 1
     sat = round(saturation_threshold(out_frac_bits) * _ONE)
-    # codes at or past sat are pinned below, so clamping them reads no table
-    # block beyond sat's
-    t = _tanh_lookup_vec(np.clip(z, -sat, sat))
-    out = _rescale_round_even_vec(t, INTERNAL_FRAC_BITS, out_frac_bits)
-    out = np.clip(out, -top, top)
-    return np.where(np.abs(z) >= sat, np.where(z < 0, -top, top), out)
+    # the output is odd, so the unit works on |z| (unsigned, so that -2**63,
+    # which has no positive twin, saturates) and restores the sign last.
+    # Codes at or past sat are pinned at top, so clamping them there reads no
+    # table block beyond sat's; half-even rounding is odd too
+    a = np.minimum(np.abs(z).view(np.uint64), sat).view(np.int64)
+    out = _rescale_round_even_vec(_tanh_lookup_vec(a), INTERNAL_FRAC_BITS, out_frac_bits)
+    np.minimum(out, top, out=out)
+    out[a == sat] = top
+    np.negative(out, out=out, where=z < 0)
+    return out
 
 
 def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):

@@ -27,30 +27,36 @@ gradients back through the same patch index. `_pads` is the one padding
 rule, and `_conv_out_hw` counts the windows of the padded input.
 
 The quantized accumulate is one shift-plane kernel, and the planes are the
-only encoding of a layer's weights: `_prepare_layer` reads each weight's
-greedy PoT terms from `fxp.term_table` at the mode's format and depth and
-groups them by shift m into a signed term matrix C_m. A layer's accumulators
-are bias + sum_m (x >> m) @ C_m.T: one exact matmul per shift in use, with
-the shift applied per operand and flooring as the hardware truncates. No
-partial sum leaves the layer's reach, sum_m 2**(F-m) |C_m| per output, so
-the planes are float32 when every reach is below 2**24 and float64, exact to
-2**53, otherwise; the bound comes from the datapath, and the bias is added
-in int64. An FxP4 layer's operands are read from a 256-entry table of its
-requantization of every FxP8 code. Overflow keeps the hardware's per-add
-semantics. Operands are codes of the layer's format, so `_prepare_layer`
-screens the outputs once from the layer alone, and for the few it cannot
-clear the prefix sums at operand boundaries decide exactly. QAT's effective
-weights are sum_m 2**-m C_m times mn_scale. A layer's weights, bias and
-mask flags are sealed read-only arrays (`_sealed`), so they change only by
-assignment, and each descriptor keeps its last prepared layer for the forward
-pass, keyed on identity: reused while the layer holds the same arrays and
-mask and equal scalars, so nothing needs invalidating.
+only encoding of a layer's weights: `_build_quant_layer` reads each weight's
+greedy PoT terms at the mode's format and depth from `fxp.term_codes`, the
+per-code siblings of `fxp.term_table`, and groups them by shift m into a
+signed term matrix C_m. Each per-code number is one gather per weight code:
+the shifts in use, each output's reach, and the sign rows of those shifts
+only. A layer's accumulators are bias + sum_m (x >> m) @ C_m.T: one exact
+matmul per shift in use, with the shift applied per operand and flooring as
+the hardware truncates. No partial sum leaves the layer's reach,
+sum_m 2**(F-m) |C_m| per output, so the planes are float32 when every reach
+is below 2**24 and float64, exact to 2**53, otherwise; the bound comes from
+the datapath, and the bias is added in int64. An FxP4 layer's operands are
+read from a 256-entry table of its requantization of every FxP8 code.
+Overflow keeps the hardware's per-add semantics. Operands are codes of the
+layer's format, so `_prepare_layer` screens the outputs once from the layer
+alone, and for the few it cannot clear the prefix sums at operand boundaries
+decide exactly. QAT's effective weights, sum_m 2**-m C_m times mn_scale, are
+one gather of each code's greedy value, times mn_scale. A layer's weights,
+bias and mask flags are sealed read-only arrays (`_sealed`), so they change
+only by assignment, which on a built layer keeps weights and bias at their
+shapes and finite, and mn_scale finite and positive; each descriptor keeps
+its last prepared layer for the forward pass, keyed on identity: reused while the layer holds the same
+arrays and mask and equal scalars, so nothing needs invalidating.
 A prepared layer's boundary is a function of the accumulator code alone, and
 no accumulator leaves [-R, R] with R the layer's bound on |bias| + reach, so
 `_prepare_layer` runs the chain once over every code in that range and the
 forward pass reads the boundary from that table. QAT's passes, whose weights
 and mn_scale change every step, build each layer afresh and run the chain on
-their accumulators, since they also need the float pre-activations.
+their accumulators, since they also need the float pre-activations; each
+step's `refresh_mn_scale` computes only the scale, not `fxp.mn_normalize`'s
+normalized copy.
 
 The synthetic dataset is drawn frame by frame, in the stream's order: each
 frame's four jitter uniforms, then its noise. The bars are rendered
@@ -79,7 +85,7 @@ from .errors import (
     FormatError,
     ShapeMismatch,
 )
-from .fxp import FXP8, FxPFormat, mn_normalize, term_table
+from .fxp import FXP8, FxPFormat, term_codes
 from .mac import MacMode, accumulator_width
 from .naf import AfSelect
 
@@ -164,7 +170,8 @@ class LayerDescriptor:
     `_sealed`) at construction and at every assignment, so they change only
     by assignment; `copy()` shares them. Once built, an assigned array must
     keep the shape it replaces, which every check on shapes passed, and be
-    finite, or the assignment raises and stores nothing."""
+    finite, and an assigned mn_scale must be finite and positive, or the
+    assignment raises and stores nothing."""
 
     kind: str                      # "conv2d" | "dense"
     activation: AfSelect
@@ -189,6 +196,12 @@ class LayerDescriptor:
                                         f"got {value.shape}")
                 if not np.isfinite(value).all():
                     raise DomainError(f"{name} must be finite")
+        elif name == "mn_scale" and "_prepared" in vars(self):
+            # construction's checks, O(1): QAT assigns the scale every step
+            if not math.isfinite(value):
+                raise DomainError("mn_scale must be finite")
+            if value <= 0:
+                raise ShapeMismatch("mn_scale must be positive")
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
@@ -241,11 +254,11 @@ class LayerDescriptor:
         return self.weights.shape[2] * self.weights.shape[3]
 
     def refresh_mn_scale(self):
-        w = self.masked_weights()
-        if not np.any(w):
-            self.mn_scale = 1.0
-            return
-        self.mn_scale, _ = mn_normalize(w, self.precision.fmt)
+        """Set mn_scale to the scale `fxp.mn_normalize` gives the masked
+        weights, max|w| / (1 - lsb), or to 1.0 when they are all zero. Only
+        the scale is computed, not the normalized copy."""
+        peak = float(np.abs(self.masked_weights()).max())
+        self.mn_scale = peak / (1.0 - self.precision.fmt.lsb) if peak else 1.0
 
     def copy(self) -> "LayerDescriptor":
         return replace(self)
@@ -741,33 +754,39 @@ def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
     if (memo is not None and memo[0] == scalars and memo[1] is layer.weights
             and memo[2] is layer.bias and memo[3] is layer.mask):
         return memo[4]
-    q = _build_quant_layer(layer)
+    q, _ = _build_quant_layer(layer)
     q.boundary = _boundary_table(layer, q.acc_bound)
     layer._prepared = (scalars, layer.weights, layer.bias, layer.mask, q)
     return q
 
 
-def _build_quant_layer(layer: LayerDescriptor) -> _QuantLayer:
+def _build_quant_layer(layer: LayerDescriptor):
+    """The layer's `_QuantLayer` and its weight codes as (out, K) column
+    indices into `fxp.term_codes`' tables, from which QAT reads its
+    effective weights. Every per-code number is one gather from those
+    tables, and sign rows only for the shifts some weight uses."""
     fmt = layer.precision.fmt
     f = fmt.frac_bits
     wn = layer.masked_weights() / layer.mn_scale
-    top = 1.0 - fmt.lsb
-    if not (np.isfinite(wn).all() and np.isfinite(layer.bias / layer.mn_scale).all()):
+    bias_n = layer.bias / layer.mn_scale
+    # max propagates NaN, so a non-finite weight leaves `peak` non-finite
+    peak = float(np.abs(wn).max())
+    if not (math.isfinite(peak) and np.isfinite(bias_n).all()):
         raise DomainError("weights, bias or mn_scale are not finite")
-    if np.abs(wn).max() > top + 1e-12:
+    if peak > 1.0 - fmt.lsb + 1e-12:
         raise DomainError("weights exceed mn normalization; refresh mn_scale")
-    codes = np.rint(wn * (1 << f)).astype(np.int64).reshape(layer.out_channels, -1)
-    # the table's +-1, 0 and NaN entries are exact in float32
-    signs = term_table(fmt, layer.precision.terms).astype(np.float32).take(
-        codes - fmt.raw_min, axis=1)
-    shifts = [m for m, c in enumerate(signs) if c.any()]
-    reach = sum((2.0 ** (f - m) * np.abs(signs[m]).sum(axis=1, dtype=np.float64)
-                 for m in shifts), np.zeros(layer.out_channels))
+    codes = (np.rint(wn * (1 << f)) - fmt.raw_min).astype(np.intp).reshape(
+        layer.out_channels, -1)
+    tables = term_codes(fmt, layer.precision.terms)
+    used = int(np.bitwise_or.reduce(tables.shifts.take(codes), axis=None))
+    shifts = [m for m in range(f + 1) if used >> m & 1]
+    reach = tables.reach.take(codes).sum(axis=1)
+    signs = tables.signs[shifts].take(codes, axis=1)
     if reach.max() >= _F32_EXACT:   # see `_accumulate`
         signs = signs.astype(np.float64)
     signs.setflags(write=False)
-    planes = tuple((m, signs[m]) for m in shifts)
-    bias_raw = np.rint(layer.bias / layer.mn_scale * (1 << f)).astype(np.int64)
+    planes = tuple(zip(shifts, signs))
+    bias_raw = np.rint(bias_n * (1 << f)).astype(np.int64)
     k = layer.retained_per_output()
     has_bias = bool(np.any(bias_raw))
     width = accumulator_width(fmt.total_bits, k + (1 if has_bias else 0))
@@ -781,7 +800,8 @@ def _build_quant_layer(layer: LayerDescriptor) -> _QuantLayer:
     # the screen clears the others, and `_check_overflow` holds the suspects
     # inside the limit
     acc_bound = math.ceil(min(float(bound.max()), lim))
-    return _QuantLayer(layer.out_channels, _seal(bias_raw), lim, planes, suspect, acc_bound)
+    q = _QuantLayer(layer.out_channels, _seal(bias_raw), lim, planes, suspect, acc_bound)
+    return q, codes
 
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
@@ -856,7 +876,9 @@ def _boundary_chain(layer: LayerDescriptor, acc):
     pre-activations acc * lsb * mn_scale, and the boundary codes the
     activation unit makes of them once saturated into WIDE_FMT. It fills each
     prepared layer's boundary table and runs directly on QAT's passes."""
-    pre = acc.astype(np.float64) * layer.precision.fmt.lsb * layer.mn_scale
+    pre = acc.astype(np.float64)
+    pre *= layer.precision.fmt.lsb
+    pre *= layer.mn_scale
     codes = naf.activate_raw_vec(layer.activation, _sat_encode_raw(pre, WIDE_FMT),
                                  WIDE_FMT.frac_bits, BOUNDARY_FMT.frac_bits)
     return pre, codes
@@ -891,7 +913,10 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         # QAT changes every layer between passes and reads no boundary
         # table: a memo would only hold the last step's planes while the next
         # are built, which costs page faults
-        q = _build_quant_layer(layer) if with_cache else _prepare_layer(layer)
+        if with_cache:
+            q, codes = _build_quant_layer(layer)
+        else:
+            q = _prepare_layer(layer)
         fmt = layer.precision.fmt
         # layer-entry requantization into the mode's operand format
         if BOUNDARY_FMT.frac_bits == fmt.frac_bits:
@@ -902,9 +927,8 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         acc = _accumulate(q, cols)
         if with_cache:
             pre_true, bound_raw = _boundary_chain(layer, acc)
-            # the PoT-approximated weights, exact: every term is dyadic
-            approx = sum((c * 2.0 ** -m for m, c in q.planes),
-                         np.zeros((layer.out_channels, cols.shape[-1])))
+            # the PoT-approximated weights: each code's greedy value, exact
+            approx = term_codes(fmt, layer.precision.terms).value.take(codes)
             caches.append(dict(
                 cols=cols.astype(np.float64) * fmt.lsb,
                 z=pre_true,

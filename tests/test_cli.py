@@ -205,6 +205,21 @@ def test_gen_data_rejects_an_oversized_dataset(tmp_path, capsys, sizes, field):
     assert not out.exists()
 
 
+def test_memory_error_exits_with_one_json_line(tmp_path, monkeypatch, capsys):
+    def exhaust(args):
+        raise MemoryError("cannot allocate the dataset")
+
+    monkeypatch.setitem(cli._DISPATCH, "train", exhaust)
+    out = tmp_path / "ref.tmdl"
+    assert _run(["train", "--data", "d.json", "--out", str(out), "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "Traceback" not in captured.err
+    assert json.loads(err[0]) == {"error": "MemoryError",
+                                  "message": "cannot allocate the dataset"}
+    assert not out.exists() and not captured.out
+
+
 def test_gen_data_synthesizes_nothing(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("gen-data synthesized a split")

@@ -23,6 +23,7 @@ from trea.fxp import (
     mn_normalize,
     msd_decompose,
     potq_multiply,
+    term_codes,
     term_table,
     trunc_shift,
 )
@@ -324,6 +325,7 @@ class TestErrorBound:
 ITERATION_USERS = {
     "msd_decompose": lambda t: msd_decompose(FxPValue(37, FXP8), t),
     "term_table": lambda t: term_table(FXP4, t),
+    "term_codes": lambda t: term_codes(FXP4, t),
     "error_bound": lambda t: error_bound(FxPValue(37, FXP8), t, 7),
     "error_sweep": lambda t: error_sweep(FXP4, [t]),
 }
@@ -424,3 +426,42 @@ def test_term_table_codes_beyond_one_have_no_terms():
     beyond = np.abs(raws) > 1 << fmt.frac_bits
     assert np.isnan(table[:, beyond]).all()
     assert not np.isnan(table[:, ~beyond]).any()
+
+
+CODE_DEPTHS = TABLE_DEPTHS + [(FxPFormat(6, 4), t) for t in (1, 4, 9)]
+
+
+@pytest.mark.parametrize("fmt, t", CODE_DEPTHS,
+                         ids=[f"FXP{fmt.total_bits}_{fmt.frac_bits}-t{t}" for fmt, t in CODE_DEPTHS])
+def test_term_codes_are_the_tables_per_code_sums(fmt, t):
+    table, codes = term_table(fmt, t), term_codes(fmt, t)
+    f = fmt.frac_bits
+    assert codes.signs.dtype == np.float32
+    np.testing.assert_array_equal(codes.signs, table)
+    for i, raw in enumerate(range(fmt.raw_min, fmt.raw_max + 1)):
+        col = table[:, i]
+        if np.isnan(col).any():   # a code past 2**F: no expansion, every bit set
+            assert np.isnan(codes.reach[i]) and np.isnan(codes.value[i])
+            assert codes.shifts[i] == (1 << (f + 1)) - 1
+            continue
+        terms = [(int(sign), m) for m, sign in enumerate(col) if sign]
+        assert codes.reach[i] == sum(1 << (f - m) for _, m in terms)
+        assert Fraction(codes.value[i]) == sum((Fraction(s, 1 << m) for s, m in terms),
+                                               Fraction(0))
+        assert codes.shifts[i] == sum(1 << m for _, m in terms)
+        if abs(raw) < 1 << f:   # the greedy value is msd_decompose's approximation
+            want = msd_decompose(FxPValue(raw, fmt), t).approximation()
+            assert Fraction(codes.value[i]) == want
+
+
+@pytest.mark.parametrize("fmt", [FXP4, FXP8], ids=["FXP4", "FXP8"])
+def test_term_codes_are_cached_per_depth_and_read_only(fmt):
+    codes = term_codes(fmt, 3)
+    assert term_codes(fmt, 3) is codes
+    # clamped as term_table is: every depth past F+1 shares one set
+    assert term_codes(fmt, fmt.frac_bits + 1) is term_codes(fmt, 40)
+    for a in (codes.signs, codes.reach, codes.value, codes.shifts):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    with pytest.raises(DomainError):
+        term_codes(fmt, 0)

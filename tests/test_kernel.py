@@ -5,6 +5,8 @@ the width after every add, in bias-then-operand-then-term order; that is the
 hardware order the kernel must reproduce, including where it overflows.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from conftest import random_topology, weight_codes
 from trea import naf, net, sharp
 from trea.errors import AccumulatorOverflow, DomainError, TreaError
 from trea.fxp import FXP4, FXP8, FxPValue, msd_decompose, term_table
-from trea.mac import Accumulator, MacMode, dot_product, mac_step
+from trea.mac import Accumulator, MacMode, accumulator_width, dot_product, mac_step
 from trea.naf import AfSelect
 
 
@@ -88,6 +90,72 @@ def _oracle(layer, q, x):
         if first is not None:
             return None, (o, "bias" if first[0] < 0 else int(keep[first[0]]))
     return want.reshape(x.shape[:-1] + (layer.out_channels,)), None
+
+
+def _per_plane_build(layer):
+    """The layer build one shift plane at a time, straight from
+    `fxp.term_table`: (planes, bias_raw, acc_limit, suspect, acc_bound) and
+    QAT's effective weights, sum_m 2**-m C_m times mn_scale."""
+    fmt = layer.precision.fmt
+    f = fmt.frac_bits
+    signs = term_table(fmt, layer.precision.terms)[:, weight_codes(layer) - fmt.raw_min]
+    shifts = [m for m in range(f + 1) if signs[m].any()]
+    reach = sum((2.0 ** (f - m) * np.abs(signs[m]).sum(axis=1) for m in shifts),
+                np.zeros(layer.out_channels))
+    dtype = np.float32 if reach.max() < 1 << 24 else np.float64
+    planes = [(m, signs[m].astype(dtype)) for m in shifts]
+    bias_raw = np.rint(layer.bias / layer.mn_scale * (1 << f)).astype(np.int64)
+    k = layer.retained_per_output() + int(bias_raw.any())
+    lim = 1 << (accumulator_width(fmt.total_bits, k) - 1)
+    bound = np.abs(bias_raw.astype(np.float64)) + reach
+    wmat = sum((signs[m] * 2.0 ** -m for m in shifts), np.zeros(signs.shape[1:]))
+    return (planes, bias_raw, lim, np.flatnonzero(bound > lim - 1),
+            math.ceil(min(float(bound.max()), lim)), wmat * layer.mn_scale)
+
+
+def _build_case(seed, mode):
+    """A `random_topology` model with every layer at `mode`, and QAT's caches
+    of one pass over it; on every third seed each layer's bias is then
+    inflated as in `_inflate_bias`, so some outputs are suspects, and the
+    caches are None."""
+    rng = np.random.default_rng(7000 + seed)
+    model, x = random_topology(rng)
+    for layer in model.layers:
+        layer.precision = mode
+        layer.refresh_mn_scale()
+    _, _, caches = net._quant_pass(model, x, with_cache=True)
+    if seed % 3:
+        return model, caches
+    for layer in model.layers:
+        _inflate_bias(rng, layer, net._prepare_layer(layer).acc_limit)
+    return model, None
+
+
+@pytest.mark.parametrize("mode", list(MacMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", range(24))
+def test_layer_build_equals_a_per_plane_reference(seed, mode):
+    # the build's gathers from `fxp.term_codes` against per-plane passes over
+    # `term_table`, and QAT's effective weights against the planes' sum
+    model, caches = _build_case(seed, mode)
+    for i, layer in enumerate(model.layers):
+        planes, bias_raw, lim, suspect, acc_bound, wmat = _per_plane_build(layer)
+        q, _ = net._build_quant_layer(layer)
+        assert [m for m, _ in q.planes] == [m for m, _ in planes]
+        for (_, got), (_, want) in zip(q.planes, planes):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(q.bias_raw, bias_raw)
+        np.testing.assert_array_equal(q.suspect, suspect)
+        assert (q.acc_limit, q.acc_bound) == (lim, acc_bound)
+        if caches is not None:
+            np.testing.assert_array_equal(caches[i]["wmat"], wmat)
+
+
+def test_layer_build_cases_include_suspects():
+    # the differential test above meets outputs the screen cannot clear
+    assert any(len(_per_plane_build(layer)[3])
+               for seed in range(0, 24, 3) for mode in MacMode
+               for layer in _build_case(seed, mode)[0].layers)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -402,7 +470,7 @@ def test_prepared_layer_is_shared_and_read_only(wide_layers):
     # planes in either dtype: the wide layers' tables would take seconds to
     # build, so they are read as the layer build leaves them
     for layer in wide_layers.values():
-        shared += [c for _, c in net._build_quant_layer(layer).planes]
+        shared += [c for _, c in net._build_quant_layer(layer)[0].planes]
     assert {a.dtype for a in shared} >= {np.dtype(np.float32), np.dtype(np.float64)}
     for a in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -434,7 +502,7 @@ def test_plane_dtype_follows_the_reach_bound(wide_layers, side, dtype):
     # planes fall back to float64, and both equal an int64 reference on the
     # format's extreme operands
     layer = wide_layers[side]
-    q = net._build_quant_layer(layer)
+    q, _ = net._build_quant_layer(layer)
     assert (weight_codes(layer) == 127).all()
     assert [m for m, _ in q.planes] == [1, 2, 3, 4, 5]
     assert {c.dtype for _, c in q.planes} == {np.dtype(dtype)}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,9 +61,43 @@ class TestTable:
     def test_units_equal_the_cordic_units(self, monkeypatch, in_f, out_f):
         raw = np.arange(-(1 << 20), (1 << 20) + 1, dtype=np.int64)
         got = [naf.tanh_raw_vec(raw, in_f, out_f), naf.sigmoid_raw_vec(raw, in_f, out_f)]
-        monkeypatch.setattr(naf, "_tanh_lookup_vec", naf._tanh_internal_vec)
+        calls = []
+
+        def cordic(z):
+            calls.append(np.size(z))
+            return naf._tanh_internal_vec(z)
+
+        monkeypatch.setattr(naf, "_tanh_lookup_vec", cordic)
         np.testing.assert_array_equal(got[0], naf.tanh_raw_vec(raw, in_f, out_f))
         np.testing.assert_array_equal(got[1], naf.sigmoid_raw_vec(raw, in_f, out_f))
+        # each unit read every code through the seam: a unit that read the
+        # table directly would compare the table with itself
+        assert calls == [raw.size, raw.size]
+        # and builds its output from what the seam returns: a seam reading 0
+        # leaves tanh 0 below sat and sigmoid one half
+        monkeypatch.setattr(naf, "_tanh_lookup_vec", np.zeros_like)
+        sat = round(saturation_threshold(out_f) * self.ONE)
+        below = np.abs(naf._to_internal_vec(raw, in_f)) < sat
+        assert not naf.tanh_raw_vec(raw, in_f, out_f)[below].any()
+        assert (naf.sigmoid_raw_vec(raw, in_f, out_f) == 1 << (out_f - 1)).all()
+
+    @pytest.mark.parametrize("in_f,out_f", [(16, 7), (16, 16), (7, 7), (20, 10), (8, 12)])
+    def test_relu_equals_rint(self, in_f, out_f):
+        # float64 holds every raw here and its scaled value exactly, and rint
+        # rounds half-even
+        raw = np.arange(-(1 << 20), (1 << 20) + 1, dtype=np.int64)
+        want = np.minimum(np.rint(np.maximum(raw, 0) * 2.0 ** (out_f - in_f)),
+                          (1 << out_f) - 1)
+        np.testing.assert_array_equal(naf.relu_raw_vec(raw, in_f, out_f), want)
+
+    @pytest.mark.parametrize("sh", range(1, 17))
+    def test_rescale_rounds_half_even(self, sh):
+        # every raw in +-2**12, and the int64 ends, where raw + half would wrap
+        raw = np.concatenate([np.arange(-(1 << 12), (1 << 12) + 1),
+                              np.array([-(1 << 63), (1 << 63) - 1])])
+        got = naf._rescale_round_even_vec(raw, naf.INTERNAL_FRAC_BITS,
+                                          naf.INTERNAL_FRAC_BITS - sh)
+        assert got.tolist() == [round(Fraction(int(r), 1 << sh)) for r in raw]
 
     def test_fills_only_the_blocks_it_reads(self, monkeypatch):
         monkeypatch.setattr(naf, "_TABLE", np.zeros_like(naf._TABLE))

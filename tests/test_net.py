@@ -754,6 +754,21 @@ class TestDescriptors:
         assert getattr(layer, field) is kept
         np.testing.assert_array_equal(net.forward_float(model, np.ones((1, 1, 3))), want)
 
+    @pytest.mark.parametrize("scale, error", [
+        (-1.0, ShapeMismatch), (0.0, ShapeMismatch), (math.nan, DomainError),
+        (math.inf, DomainError),
+    ], ids=["negative", "zero", "nan", "inf"])
+    def test_mn_scale_assignment_runs_the_construction_checks(self, scale, error):
+        model = _dense_model(np.full((2, 3), 0.25), np.array([0.1, -0.1]))
+        layer = model.layers[0]
+        kept, x = layer.mn_scale, np.full((1, 1, 3), 0.5)
+        want = net.forward_float(model, x), net.forward_quant(model, x)
+        with pytest.raises(error, match="mn_scale must be"):
+            layer.mn_scale = scale
+        assert layer.mn_scale == kept
+        np.testing.assert_array_equal(net.forward_float(model, x), want[0])
+        np.testing.assert_array_equal(net.forward_quant(model, x), want[1])
+
     def test_assignment_keeps_the_mask_shape(self):
         layer = _masked_conv_layer()
         with pytest.raises(ShapeMismatch, match="keep"):
