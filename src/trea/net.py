@@ -44,11 +44,12 @@ layer's format, so `_prepare_layer` screens the outputs once from the layer
 alone, and for the few it cannot clear the prefix sums at operand boundaries
 decide exactly. QAT's effective weights, sum_m 2**-m C_m times mn_scale, are
 one gather of each code's greedy value, times mn_scale. A layer's weights,
-bias and mask flags are sealed read-only arrays (`_sealed`), so they change
-only by assignment, which on a built layer keeps weights and bias at their
-shapes and finite, and mn_scale finite and positive; each descriptor keeps
-its last prepared layer for the forward pass, keyed on identity: reused while the layer holds the same
-arrays and mask and equal scalars, so nothing needs invalidating.
+bias and mask flags are sealed read-only arrays (`_sealed`), changed only by
+assignment; each descriptor field has one rule, in `__setattr__`, which
+construction and every assignment run alike. Each descriptor keeps its last
+prepared layer for the forward pass, keyed on identity: reused while the
+layer holds the same arrays and mask and equal scalars, so nothing needs
+invalidating.
 A prepared layer's boundary is a function of the accumulator code alone, and
 no accumulator leaves [-R, R] with R the layer's bound on |bias| + reach, so
 `_prepare_layer` runs the chain once over every code in that range and the
@@ -164,14 +165,20 @@ class SparsityMask:
         return int(self.flags.sum())
 
 
+def _check_ndim(kind, weights):
+    want = 4 if kind == "conv2d" else 2
+    if weights.ndim != want or min(weights.shape) < 1:
+        raise ShapeMismatch(f"kind {kind!r} needs {want}-D weights with no empty "
+                            f"dimension, got shape {weights.shape}")
+
+
 @dataclass
 class LayerDescriptor:
-    """One layer. `weights` and `bias` are sealed float64 arrays (see
-    `_sealed`) at construction and at every assignment, so they change only
-    by assignment; `copy()` shares them. Once built, an assigned array must
-    keep the shape it replaces, which every check on shapes passed, and be
-    finite, and an assigned mn_scale must be finite and positive, or the
-    assignment raises and stores nothing."""
+    """One layer. Each field's rule lives in `__setattr__`, which the
+    dataclass `__init__` runs field by field, so construction and assignment
+    check alike, and a rejected value raises a `TreaError` and is not stored.
+    `weights` and `bias` are sealed float64 arrays (`_sealed`), changed only by
+    assignment and shared by `copy()`; the weights keep the shape they are built with."""
 
     kind: str                      # "conv2d" | "dense"
     activation: AfSelect
@@ -187,47 +194,48 @@ class LayerDescriptor:
     _prepared: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        if name in ("weights", "bias"):
+        held = vars(self)   # the fields set so far
+        if name == "kind":
+            if value not in ("conv2d", "dense"):
+                raise ShapeMismatch(f"unknown layer kind {value!r}")
+            if "weights" in held:
+                _check_ndim(value, held["weights"])
+        elif name == "activation":
+            value = AfSelect.from_code(value)
+        elif name == "precision":
+            if not isinstance(value, MacMode):
+                raise DomainError(f"precision must be a MacMode, got {value!r}")
+        elif name in ("weights", "bias"):
             value = _sealed(value, np.float64)
-            if "_prepared" in vars(self):   # built: its network's shapes hold
-                kept = vars(self)[name].shape
-                if value.shape != kept:
-                    raise ShapeMismatch(f"{name} must keep the layer's shape {kept}, "
-                                        f"got {value.shape}")
-                if not np.isfinite(value).all():
-                    raise DomainError(f"{name} must be finite")
-        elif name == "mn_scale" and "_prepared" in vars(self):
-            # construction's checks, O(1): QAT assigns the scale every step
-            if not math.isfinite(value):
-                raise DomainError("mn_scale must be finite")
+            if name == "weights" and "weights" not in held:
+                _check_ndim(held["kind"], value)
+            kept = held.get("weights", value).shape   # the weights' shape, once set
+            kept = kept[:1] if name == "bias" else kept
+            if value.shape != kept:
+                raise ShapeMismatch(f"{name} must keep the layer's shape {kept}, "
+                                    f"got {value.shape}")
+            if not np.isfinite(value).all():
+                raise DomainError(f"{name} must be finite")
+        elif name == "mn_scale":   # O(1): QAT assigns the scale every step
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise DomainError(f"mn_scale must be a finite number, got {value!r}")
             if value <= 0:
                 raise ShapeMismatch("mn_scale must be positive")
+            value = float(value)
+        elif name == "mask" and value is not None:
+            if not isinstance(value, SparsityMask):
+                raise DomainError(f"mask must be a SparsityMask, got {type(value).__name__}")
+            if value.flags.shape != held["weights"].shape:
+                raise ShapeMismatch("mask shape must match weight shape")
+        elif name == "stride":
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"stride must be an integer, got {value!r}")
+            if value < 1:
+                raise ShapeMismatch("stride must be >= 1")
+            value = int(value)
+        elif name == "padding" and value not in ("valid", "same"):
+            raise ShapeMismatch(f"unknown padding {value!r}")
         object.__setattr__(self, name, value)
-
-    def __post_init__(self):
-        if self.kind not in ("conv2d", "dense"):
-            raise ShapeMismatch(f"unknown layer kind {self.kind!r}")
-        want = 4 if self.kind == "conv2d" else 2
-        if self.weights.ndim != want:
-            raise ShapeMismatch(
-                f"kind {self.kind!r} needs {want}-D weights, got {self.weights.ndim}-D"
-            )
-        if self.weights.shape[0] < 1 or min(self.weights.shape) < 1:
-            raise ShapeMismatch("layer has an empty weight dimension")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeMismatch("bias length must match output count")
-        if self.padding not in ("valid", "same"):
-            raise ShapeMismatch(f"unknown padding {self.padding!r}")
-        if self.stride < 1:
-            raise ShapeMismatch("stride must be >= 1")
-        if self.mask is not None and self.mask.flags.shape != self.weights.shape:
-            raise ShapeMismatch("mask shape must match weight shape")
-        if not (math.isfinite(self.mn_scale) and np.isfinite(self.weights).all()
-                and np.isfinite(self.bias).all()):
-            raise DomainError("weights, bias and mn_scale must be finite")
-        if self.mn_scale <= 0:
-            raise ShapeMismatch("mn_scale must be positive")
-        self._prepared = None   # in `vars` from here on: the layer is built
 
     @property
     def out_channels(self) -> int:
@@ -273,10 +281,17 @@ class NetworkDescriptor:
     # (structure, schedule) from `trea.sched`'s last plan; never copied or saved
     _schedule: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __setattr__(self, name, value):
+        if name == "input_shape":
+            if len(value) != 3 or not all(
+                    isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+                    for v in value):
+                raise ShapeMismatch(f"input_shape must be (channels, height, width), "
+                                    f"got {value!r}")
+            value = tuple(int(v) for v in value)
+        object.__setattr__(self, name, value)
+
     def __post_init__(self):
-        self.input_shape = tuple(int(v) for v in self.input_shape)
-        if len(self.input_shape) != 3:
-            raise ShapeMismatch("input_shape must be (channels, height, width)")
         if not self.layers:
             raise ShapeMismatch("network needs at least one layer")
         self.layer_shapes()  # raises on incompatible chains

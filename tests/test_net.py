@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -9,8 +10,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_topology, rewrite_manifest, weight_codes
-from trea import net, sched, sharp
-from trea.errors import DivergenceError, DomainError, FormatError, ShapeMismatch
+from trea import fxp, net, sched, sharp
+from trea.errors import (DivergenceError, DomainError, FormatError, InvalidSelect,
+                         ShapeMismatch, TreaError)
 from trea.fxp import FXP8, error_bound, FxPValue
 from trea.mac import MacMode
 from trea.naf import AfSelect
@@ -604,6 +606,14 @@ def _masked_conv_layer():
     return layer
 
 
+def _conv_dense_model():
+    dense = net.LayerDescriptor("dense", AfSelect.SIGMOID, MacMode.FXP4_SIMD,
+                                np.random.default_rng(4).normal(0.0, 0.2, (3, 18)),
+                                np.zeros(3))
+    dense.refresh_mn_scale()
+    return net.NetworkDescriptor("t", (1, 5, 5), [_masked_conv_layer(), dense])
+
+
 _SEALED = {"weights": lambda layer: layer.weights,
            "bias": lambda layer: layer.bias,
            "mask.flags": lambda layer: layer.mask.flags}
@@ -773,6 +783,87 @@ class TestDescriptors:
         layer = _masked_conv_layer()
         with pytest.raises(ShapeMismatch, match="keep"):
             layer.weights = np.zeros((2, 1, 2, 2))
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("kind", "conv9", ShapeMismatch),
+        ("kind", "dense", ShapeMismatch),          # the layer's weights are 4-D
+        ("activation", 3, InvalidSelect),           # the reserved select code
+        ("activation", 7, InvalidSelect),
+        ("precision", "fxp8", DomainError),
+        ("weights", np.full((2, 1, 3, 3), np.nan), DomainError),
+        ("bias", np.array([0.0, np.inf]), DomainError),
+        ("mn_scale", -1.0, ShapeMismatch),
+        ("mn_scale", True, DomainError),
+        ("mask", net.SparsityMask(np.ones((2, 1, 2, 2), bool), 4), ShapeMismatch),
+        ("mask", np.ones((2, 1, 3, 3), bool), DomainError),
+        ("stride", 0, ShapeMismatch),
+        ("stride", 1.5, DomainError),
+        ("stride", True, DomainError),
+        ("padding", "bogus", ShapeMismatch),
+    ], ids=["kind-unknown", "kind-dense-on-conv", "activation-reserved", "activation-7",
+            "precision-str", "weights-nan", "bias-inf", "mn_scale-negative", "mn_scale-bool",
+            "mask-wrong-shape", "mask-bare-flags", "stride-0", "stride-float",
+            "stride-bool", "padding-unknown"])
+    def test_every_field_rule_runs_at_construction_and_assignment(self, field, value,
+                                                                   error):
+        # the same check, so the same error, whether the value arrives by
+        # construction or by assignment; a rejected value is not stored
+        model = _conv_dense_model()
+        layer = model.layers[0]
+        args = {f.name: getattr(layer, f.name) for f in dataclasses.fields(layer) if f.init}
+        args[field] = value
+        with pytest.raises(error) as built:
+            net.LayerDescriptor(**args)
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, (3, 1, 5, 5))
+        want = net.forward_float(model, x), net.forward_quant(model, x)
+        kept = getattr(layer, field)
+        with pytest.raises(error) as assigned:
+            setattr(layer, field, value)
+        assert built.type is assigned.type is error and issubclass(error, TreaError)
+        assert getattr(layer, field) is kept
+        np.testing.assert_array_equal(net.forward_float(model, x), want[0])
+        np.testing.assert_array_equal(net.forward_quant(model, x), want[1])
+
+    def test_input_shape_is_a_tuple_of_counts_at_every_assignment(self):
+        model = _dense_model(np.full((2, 3), 0.25), np.array([0.1, -0.1]))
+        x = np.full((1, 1, 3), 0.5)
+        want = net.forward_quant(model, x)
+        model.input_shape = [1, np.int64(1), 3]
+        assert model.input_shape == (1, 1, 3) and type(model.input_shape[1]) is int
+        np.testing.assert_array_equal(net.forward_quant(model, x), want)
+        for bad in ([1, 3], [1, 1, 3.0], [1, True, 3], [0, 1, 3]):
+            with pytest.raises(ShapeMismatch, match="input_shape"):
+                net.NetworkDescriptor("t", bad, model.layers)
+            with pytest.raises(ShapeMismatch, match="input_shape"):
+                model.input_shape = bad
+            assert model.input_shape == (1, 1, 3)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path):
+        # the manifest is JSON, which has no numpy scalars
+        model = _conv_dense_model()
+        model.layers[0].stride = np.int64(1)
+        model.layers[0].mn_scale = np.float32(2.5)
+        model.input_shape = np.array([1, 5, 5])
+        net.save_model(model, tmp_path / "m.tmdl")
+        again = net.load_model(tmp_path / "m.tmdl")
+        assert (again.input_shape, again.layers[0].stride) == ((1, 5, 5), 1)
+        assert again.layers[0].mn_scale == 2.5
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_refresh_mn_scale_is_mn_normalize_scale(self, seed):
+        # refresh computes the scale alone; `fxp.mn_normalize` is its oracle
+        model, _ = random_topology(np.random.default_rng(seed))
+        for layer in model.layers:
+            for mode in MacMode:
+                layer.precision = mode
+                layer.refresh_mn_scale()
+                want, _ = fxp.mn_normalize(layer.masked_weights(), mode.fmt)
+                assert layer.mn_scale.hex() == want.hex()
+            layer.weights = np.zeros_like(layer.weights)
+            for mode in MacMode:
+                layer.precision = mode
+                layer.refresh_mn_scale()
+                assert layer.mn_scale == 1.0
 
     def test_mask_leaves_the_callers_array_writable(self):
         # the mask freezes its own copy, not the array it was built from
