@@ -20,51 +20,29 @@ loss. Both forward paths are one layer walk: `_layer_rows` lays a layer's
 input out as operand rows (im2col patches for conv, flattened rows for
 dense), one dot product per row and output channel gives the
 pre-activations, and `_fold` lays the activations out as the next layer's
-input. Every pass caches the same per-layer record for `_backward`, which
-walks the layers in reverse through the inverses: `_unfold` undoes `_fold`,
-and `_col2im` undoes a conv layer's `_layer_rows`, scattering patch
-gradients back through the same patch index. `_pads` is the one padding
-rule, and `_conv_out_hw` counts the windows of the padded input.
+input. `_backward` walks the layers in reverse through the inverses:
+`_unfold` undoes `_fold`, and `_col2im` undoes a conv layer's `_layer_rows`
+through the same patch index. `_pads` is the one padding rule.
 
-The quantized accumulate is one shift-plane kernel, and the planes are the
-only encoding of a layer's weights: `_build_quant_layer` reads each weight's
-greedy PoT terms at the mode's format and depth from `fxp.term_codes`, the
-per-code siblings of `fxp.term_table`, and groups them by shift m into a
-signed term matrix C_m. Each per-code number is one gather per weight code:
-the shifts in use, each output's reach, and the sign rows of those shifts
-only. A layer's accumulators are bias + sum_m (x >> m) @ C_m.T: one exact
-matmul per shift in use, with the shift applied per operand and flooring as
-the hardware truncates. No partial sum leaves the layer's reach,
-sum_m 2**(F-m) |C_m| per output, so the planes are float32 when every reach
-is below 2**24 and float64, exact to 2**53, otherwise; the bound comes from
-the datapath, and the bias is added in int64. An FxP4 layer's operands are
-read from a 256-entry table of its requantization of every FxP8 code.
-Overflow keeps the hardware's per-add semantics. Operands are codes of the
-layer's format, so `_prepare_layer` screens the outputs once from the layer
-alone, and for the few it cannot clear the prefix sums at operand boundaries
-decide exactly. QAT's effective weights, sum_m 2**-m C_m times mn_scale, are
-one gather of each code's greedy value, times mn_scale. A layer's weights,
-bias and mask flags are sealed read-only arrays (`_sealed`), changed only by
-assignment; each descriptor field has one rule, in `__setattr__`, which
-construction and every assignment run alike. Each descriptor keeps its last
-prepared layer for the forward pass, keyed on identity: reused while the
-layer holds the same arrays and mask and equal scalars, so nothing needs
-invalidating.
-A prepared layer's boundary is a function of the accumulator code alone, and
-no accumulator leaves [-R, R] with R the layer's bound on |bias| + reach, so
-`_prepare_layer` runs the chain once over every code in that range and the
-forward pass reads the boundary from that table. QAT's passes, whose weights
-and mn_scale change every step, build each layer afresh and run the chain on
-their accumulators, since they also need the float pre-activations; each
-step's `refresh_mn_scale` computes only the scale, not `fxp.mn_normalize`'s
-normalized copy.
+The quantized accumulate is one shift-plane kernel, `_accumulate`, and its
+planes, which `_build_quant_layer` gathers from `fxp.term_codes`, are the
+only encoding of a layer's weights. Each descriptor keeps its last prepared
+layer (`_prepare_layer`), keyed on the identity of its sealed arrays and
+mask and on its scalars, so nothing needs invalidating, with a table of the
+boundary chain over every accumulator code the layer can reach; inference
+reads that table. QAT's passes, whose weights and mn_scale change every
+step, build each layer afresh and run the chain on their accumulators.
 
-The synthetic dataset is drawn frame by frame, in the stream's order: each
-frame's four jitter uniforms, then its noise. The bars are rendered
-afterwards over the noise, a chunk of frames at a time, with the per-frame
-form's arithmetic, so the bytes match a frame-at-a-time render.
-`check_dataset_args` is the dataset's argument check and size cap; it draws
-nothing, so `trea gen-data` runs only it.
+Each descriptor field has one rule, in its class's `__setattr__` (a frozen
+`SparsityMask` checks in `__post_init__`), which construction and every
+assignment run alike; a rejected value raises a `TreaError` and is not
+stored. A layer's weights, bias and mask flags are sealed read-only arrays
+(`_sealed`), changed only by assignment. The rules are the model file's
+schema, so every descriptor they admit saves and loads back equal.
+
+The synthetic dataset is drawn frame by frame in the stream's order and
+rendered a chunk of frames at a time (`_synth_split`); `check_dataset_args`
+is its argument check and size cap, which `trea gen-data` runs alone.
 """
 
 from __future__ import annotations
@@ -72,6 +50,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -85,6 +64,7 @@ from .errors import (
     DomainError,
     FormatError,
     ShapeMismatch,
+    TreaError,
 )
 from .fxp import FXP8, FxPFormat, term_codes
 from .mac import MacMode, accumulator_width
@@ -141,23 +121,32 @@ def _sealed(value, dtype) -> np.ndarray:
     return _seal(np.array(value, dtype=dtype))
 
 
+def _integer(value) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SparsityMask:
-    """Boolean retention flags plus the exact per-window retained count
-    (built by `trea.sharp`'s pruning and by `load_model`). A conv mask keeps
-    exactly `retained_per_window` weights in every kernel window, the count
-    the cycle accounting charges."""
+    """Sealed boolean retention flags plus the exact per-window retained
+    count, a Python int >= 0 (built by `trea.sharp`'s pruning and by
+    `load_model`). A conv mask keeps exactly `retained_per_window` weights in
+    every kernel window, the count the cycle accounting charges."""
 
     flags: np.ndarray
     retained_per_window: int
 
     def __post_init__(self):
+        retained = self.retained_per_window
+        if not _integer(retained) or retained < 0:
+            raise DomainError(f"retained_per_window must be an integer >= 0, got {retained!r}")
         flags = _sealed(self.flags, bool)   # masks are frozen once built
         object.__setattr__(self, "flags", flags)
-        if flags.ndim == 4 and np.any(flags.sum(axis=(2, 3)) != self.retained_per_window):
+        object.__setattr__(self, "retained_per_window", int(retained))
+        if flags.ndim == 4 and np.any(flags.sum(axis=(2, 3)) != retained):
             raise ShapeMismatch(
                 f"mask keeps other than retained_per_window = "
-                f"{self.retained_per_window} weights in some kernel window"
+                f"{retained} weights in some kernel window"
             )
 
     @property
@@ -177,8 +166,9 @@ class LayerDescriptor:
     """One layer. Each field's rule lives in `__setattr__`, which the
     dataclass `__init__` runs field by field, so construction and assignment
     check alike, and a rejected value raises a `TreaError` and is not stored.
-    `weights` and `bias` are sealed float64 arrays (`_sealed`), changed only by
-    assignment and shared by `copy()`; the weights keep the shape they are built with."""
+    The rules are also the model file's schema (see `load_model`). `weights`
+    and `bias` are sealed float64 arrays (`_sealed`), changed only by
+    assignment and shared by `copy()`; the weights keep their first shape."""
 
     kind: str                      # "conv2d" | "dense"
     activation: AfSelect
@@ -196,7 +186,7 @@ class LayerDescriptor:
     def __setattr__(self, name, value):
         held = vars(self)   # the fields set so far
         if name == "kind":
-            if value not in ("conv2d", "dense"):
+            if not (isinstance(value, str) and value in ("conv2d", "dense")):
                 raise ShapeMismatch(f"unknown layer kind {value!r}")
             if "weights" in held:
                 _check_ndim(value, held["weights"])
@@ -206,7 +196,10 @@ class LayerDescriptor:
             if not isinstance(value, MacMode):
                 raise DomainError(f"precision must be a MacMode, got {value!r}")
         elif name in ("weights", "bias"):
-            value = _sealed(value, np.float64)
+            try:
+                value = _sealed(value, np.float64)
+            except (TypeError, ValueError) as exc:   # a str, a ragged list
+                raise DomainError(f"{name} must be an array of numbers: {exc}") from exc
             if name == "weights" and "weights" not in held:
                 _check_ndim(held["kind"], value)
             kept = held.get("weights", value).shape   # the weights' shape, once set
@@ -217,7 +210,12 @@ class LayerDescriptor:
             if not np.isfinite(value).all():
                 raise DomainError(f"{name} must be finite")
         elif name == "mn_scale":   # O(1): QAT assigns the scale every step
-            if isinstance(value, bool) or not math.isfinite(value):
+            try:
+                finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                          and math.isfinite(value))
+            except OverflowError:   # an int past float's range
+                finite = False
+            if not finite:
                 raise DomainError(f"mn_scale must be a finite number, got {value!r}")
             if value <= 0:
                 raise ShapeMismatch("mn_scale must be positive")
@@ -228,12 +226,12 @@ class LayerDescriptor:
             if value.flags.shape != held["weights"].shape:
                 raise ShapeMismatch("mask shape must match weight shape")
         elif name == "stride":
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _integer(value):
                 raise DomainError(f"stride must be an integer, got {value!r}")
             if value < 1:
                 raise ShapeMismatch("stride must be >= 1")
             value = int(value)
-        elif name == "padding" and value not in ("valid", "same"):
+        elif name == "padding" and not (isinstance(value, str) and value in ("valid", "same")):
             raise ShapeMismatch(f"unknown padding {value!r}")
         object.__setattr__(self, name, value)
 
@@ -274,6 +272,11 @@ class LayerDescriptor:
 
 @dataclass
 class NetworkDescriptor:
+    """A model. As in `LayerDescriptor`, each field's rule lives in
+    `__setattr__`: `name` is a str and `seed` an integer (`DomainError`);
+    `input_shape` is three positive integers and `layers` a non-empty list of
+    `LayerDescriptor` whose shape chain fits it (`ShapeMismatch`)."""
+
     name: str
     input_shape: tuple[int, int, int]   # (channels, height, width)
     layers: list[LayerDescriptor]
@@ -282,53 +285,66 @@ class NetworkDescriptor:
     _schedule: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        if name == "input_shape":
-            if len(value) != 3 or not all(
-                    isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-                    for v in value):
+        held = vars(self)   # the fields set so far
+        if name == "name" and not isinstance(value, str):
+            raise DomainError(f"name must be a str, got {value!r}")
+        elif name == "seed":
+            if not _integer(value):
+                raise DomainError(f"seed must be an integer, got {value!r}")
+            value = int(value)
+        elif name == "input_shape":
+            # `tolist`, not np.shape, which raises on a ragged list
+            dims = value.tolist() if isinstance(value, np.ndarray) else value
+            if not (isinstance(dims, (tuple, list)) and len(dims) == 3
+                    and all(_integer(v) and v >= 1 for v in dims)):
                 raise ShapeMismatch(f"input_shape must be (channels, height, width), "
                                     f"got {value!r}")
-            value = tuple(int(v) for v in value)
+            value = tuple(int(v) for v in dims)
+            if "layers" in held:
+                _layer_shapes(value, held["layers"])
+        elif name == "layers":
+            if not (isinstance(value, list)
+                    and all(isinstance(l, LayerDescriptor) for l in value)):
+                raise ShapeMismatch("layers must be a list of LayerDescriptor")
+            if not value:
+                raise ShapeMismatch("network needs at least one layer")
+            _layer_shapes(held["input_shape"], value)
         object.__setattr__(self, name, value)
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ShapeMismatch("network needs at least one layer")
-        self.layer_shapes()  # raises on incompatible chains
 
     def layer_shapes(self):
         """Output shape after each layer; conv shapes are (C, H, W), dense
         shapes are (features,)."""
-        shapes = []
-        cur = self.input_shape
-        for idx, layer in enumerate(self.layers):
-            if layer.kind == "conv2d":
-                if len(cur) != 3:
-                    raise ShapeMismatch(f"layer {idx}: conv2d after a dense layer")
-                c, h, w = cur
-                if layer.weights.shape[1] != c:
-                    raise ShapeMismatch(
-                        f"layer {idx}: expects {layer.weights.shape[1]} input "
-                        f"channels, got {c}"
-                    )
-                kh, kw = layer.weights.shape[2:]
-                ho, wo = _conv_out_hw(h, w, kh, kw, layer.stride, layer.padding)
-                if ho < 1 or wo < 1:
-                    raise ShapeMismatch(f"layer {idx}: kernel larger than input")
-                cur = (layer.out_channels, ho, wo)
-            else:
-                feats = int(np.prod(cur))
-                if layer.weights.shape[1] != feats:
-                    raise ShapeMismatch(
-                        f"layer {idx}: expects {layer.weights.shape[1]} features, "
-                        f"got {feats}"
-                    )
-                cur = (layer.out_channels,)
-            shapes.append(cur)
-        return shapes
+        return _layer_shapes(self.input_shape, self.layers)
 
     def copy(self) -> "NetworkDescriptor":
         return replace(self, layers=[l.copy() for l in self.layers])
+
+
+def _layer_shapes(input_shape, layers):
+    """Each layer's output shape from `input_shape` on; raises `ShapeMismatch` at a misfit."""
+    shapes = []
+    cur = input_shape
+    for idx, layer in enumerate(layers):
+        if layer.kind == "conv2d":
+            if len(cur) != 3:
+                raise ShapeMismatch(f"layer {idx}: conv2d after a dense layer")
+            c, h, w = cur
+            if layer.weights.shape[1] != c:
+                raise ShapeMismatch(f"layer {idx}: expects {layer.weights.shape[1]} input "
+                                    f"channels, got {c}")
+            kh, kw = layer.weights.shape[2:]
+            ho, wo = _conv_out_hw(h, w, kh, kw, layer.stride, layer.padding)
+            if ho < 1 or wo < 1:
+                raise ShapeMismatch(f"layer {idx}: kernel larger than input")
+            cur = (layer.out_channels, ho, wo)
+        else:
+            feats = math.prod(cur)
+            if layer.weights.shape[1] != feats:
+                raise ShapeMismatch(f"layer {idx}: expects {layer.weights.shape[1]} "
+                                    f"features, got {feats}")
+            cur = (layer.out_channels,)
+        shapes.append(cur)
+    return shapes
 
 
 def _pads(size, k, stride, padding):
@@ -377,7 +393,7 @@ def check_dataset_args(seed: int, n_train: int, n_test: int, classes: int = 3,
     for name, value, least in (("seed", seed, 0), ("n_train", n_train, 0),
                                ("n_test", n_test, 0), ("classes", classes, 2),
                                ("image_size", image_size, 8)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _integer(value):
             raise DomainError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise DomainError(f"{name} must be >= {least}, got {value}")
@@ -559,10 +575,19 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
 def _layer_rows(layer: LayerDescriptor, act):
     """The layer's operand rows and the output grid they fold back onto:
     (B, P, C*kh*kw) patches and (ho, wo) for conv, (B, K) flattened rows and
-    None for dense. Every row is one dot product per output channel."""
+    None for dense. Every row is one dot product per output channel. An input
+    the layer does not fit, as after an edit in place, raises `ShapeMismatch`."""
+    _, k, *hw = layer.weights.shape
     if layer.kind == "dense":
-        return act.reshape(len(act), layer.weights.shape[1]), None
-    cols, ho, wo = _im2col(act, *layer.weights.shape[2:], layer.stride, layer.padding)
+        if math.prod(act.shape[1:]) != k:
+            raise ShapeMismatch(f"dense layer expects {k} features, got {act.shape[1:]}")
+        return act.reshape(len(act), k), None
+    # "same" pads any input to at least one window
+    if act.ndim != 4 or act.shape[1] != k or (layer.padding == "valid" and (
+            act.shape[2] < hw[0] or act.shape[3] < hw[1])):
+        raise ShapeMismatch(f"conv2d layer with {k} input channels and a {hw} kernel "
+                            f"does not fit input {act.shape[1:]}")
+    cols, ho, wo = _im2col(act, *hw, layer.stride, layer.padding)
     return cols, (ho, wo)
 
 
@@ -1017,7 +1042,9 @@ def qat_finetune(model: NetworkDescriptor, dataset: Dataset, epochs: int, lr: fl
 
 def save_model(model: NetworkDescriptor, path):
     """Write manifest + little-endian binary blob. Deterministic byte layout:
-    identical models serialize identically."""
+    identical models serialize identically. A shape chain that an edit in
+    place broke raises `ShapeMismatch` instead of writing an unloadable file."""
+    model.layer_shapes()
     blob = bytearray()
     layer_entries = []
     for layer in model.layers:
@@ -1059,16 +1086,10 @@ def save_model(model: NetworkDescriptor, path):
         fh.write(bytes(blob))
 
 
-_REQUIRED = object()
-
-
-def _manifest_field(entry, key, where, convert=None, default=_REQUIRED):
-    """`entry[key]`, passed through `convert` if given; an absent optional
-    field reads as `default`. A missing required field or a value `convert`
-    rejects is a `FormatError` naming the field."""
+def _manifest_field(entry, key, where, convert=None):
+    """`entry[key]`, passed through `convert` if given. A missing field or a
+    value `convert` rejects is a `FormatError` naming the field."""
     if key not in entry:
-        if default is not _REQUIRED:
-            return default
         raise FormatError(f"missing field {where}.{key}")
     if convert is None:
         return entry[key]
@@ -1078,52 +1099,28 @@ def _manifest_field(entry, key, where, convert=None, default=_REQUIRED):
         raise FormatError(f"bad field {where}.{key} = {entry[key]!r}: {exc}") from exc
 
 
-def _int(v):
-    """A JSON integer; floats, bools and strings are rejected, not truncated."""
-    if type(v) is not int:
-        raise TypeError(f"{v!r} is not an integer")
-    return v
-
-
-def _real(v):
-    """A JSON number, as a float; bools and strings are rejected, not coerced."""
-    if type(v) not in (int, float):
-        raise TypeError(f"{v!r} is not a number")
-    return float(v)
-
-
-def _str(v):
-    """A JSON string."""
-    if type(v) is not str:
-        raise TypeError(f"{v!r} is not a string")
-    return v
-
-
-def _shape(v):
-    """A JSON shape: a non-empty list of positive integers."""
-    if not (isinstance(v, list) and v and all(type(d) is int and d >= 1 for d in v)):
-        raise ValueError("not a non-empty list of positive integers")
-    return tuple(v)
-
-
 def _blob_array(blob, entry, key, where, dtype, count):
     """`count` items of `dtype` read from the blob at the entry's offset."""
-    off = _manifest_field(entry, key, where, _int)
-    if off < 0 or off + count * np.dtype(dtype).itemsize > len(blob):
-        raise FormatError(f"{where}.{key} = {off!r} is outside the {len(blob)}-byte blob")
+    off = _manifest_field(entry, key, where)   # a JSON integer: no bool, float or str
+    if type(off) is not int or off < 0 or off + count * np.dtype(dtype).itemsize > len(blob):
+        raise FormatError(f"{where}.{key} = {off!r} is no offset into the {len(blob)}-byte blob")
     return np.frombuffer(blob, dtype=dtype, count=count, offset=off)
 
 
 def _build(cls, where, **fields):
-    """`cls(**fields)`; a `ShapeMismatch` from the descriptor's checks (which
-    name the field at fault) is a malformed file, raised as a `FormatError`."""
+    """`cls(**fields)`; a `TreaError` from the descriptor's rules (which name
+    the field at fault) is a malformed file, raised as a `FormatError`."""
     try:
         return cls(**fields)
-    except ShapeMismatch as exc:
+    except TreaError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
 def load_model(path) -> NetworkDescriptor:
+    """The model in a file `save_model` wrote. Only the container (magic,
+    length, a JSON object, version, layer list, weight shapes, blob offsets)
+    is checked here and only `precision` converted; every other value goes to
+    the descriptors as read, and a rule's `TreaError` is a `FormatError`."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MODEL_MAGIC) + 4 or not data.startswith(MODEL_MAGIC):
@@ -1138,8 +1135,8 @@ def load_model(path) -> NetworkDescriptor:
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError("manifest is not a JSON object")
-    version = _manifest_field(manifest, "version", "manifest", _int)
-    if version != MODEL_VERSION:
+    version = _manifest_field(manifest, "version", "manifest")
+    if type(version) is not int or version != MODEL_VERSION:   # True == 1.0 == 1
         raise FormatError(f"unsupported model version {version}")
     blob = data[mstart + mlen:]
     entries = _manifest_field(manifest, "layers", "manifest")
@@ -1150,13 +1147,16 @@ def load_model(path) -> NetworkDescriptor:
         where = f"layers[{i}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where} is not an object")
-        shape = _manifest_field(entry, "weight_shape", where, _shape)
+        shape = _manifest_field(entry, "weight_shape", where)
+        if not (isinstance(shape, list) and shape
+                and all(type(d) is int and d >= 1 for d in shape)):
+            raise FormatError(f"{where}.weight_shape = {shape!r} is no list of counts")
         wn = math.prod(shape)
         weights = _blob_array(blob, entry, "weight_offset", where, "<f8", wn).reshape(shape)
         bias = _blob_array(blob, entry, "bias_offset", where, "<f8", shape[0])
         mask = None
         if entry.get("mask_offset") is not None:
-            retained = _manifest_field(entry, "retained_per_window", where, _int)
+            retained = _manifest_field(entry, "retained_per_window", where)
             bits = np.unpackbits(
                 _blob_array(blob, entry, "mask_offset", where, np.uint8, -(-wn // 8))
             )[:wn]
@@ -1165,20 +1165,19 @@ def load_model(path) -> NetworkDescriptor:
         layers.append(_build(
             LayerDescriptor, where,
             kind=_manifest_field(entry, "kind", where),
-            activation=_manifest_field(entry, "activation", where,
-                                       lambda v: AfSelect.from_code(_int(v))),
+            activation=_manifest_field(entry, "activation", where),
             precision=_manifest_field(entry, "precision", where, MacMode),
             weights=weights,
             bias=bias,
-            mn_scale=_manifest_field(entry, "mn_scale", where, _real),
+            mn_scale=_manifest_field(entry, "mn_scale", where),
             mask=mask,
-            stride=_manifest_field(entry, "stride", where, _int, default=1),
+            stride=entry.get("stride", 1),
             padding=entry.get("padding", "valid"),
         ))
     return _build(
         NetworkDescriptor, "manifest",
-        name=_manifest_field(manifest, "name", "manifest", _str),
-        input_shape=_manifest_field(manifest, "input_shape", "manifest", _shape),
+        name=_manifest_field(manifest, "name", "manifest"),
+        input_shape=_manifest_field(manifest, "input_shape", "manifest"),
         layers=layers,
-        seed=_manifest_field(manifest, "seed", "manifest", _int, default=0),
+        seed=manifest.get("seed", 0),
     )

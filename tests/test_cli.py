@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rewrite_manifest
 from trea import cli, net
-from trea.errors import TreaError
+from trea.errors import FormatError
 from trea.fxp import FXP4, FxPValue
 from trea.mac import MacMode
 
@@ -363,14 +363,14 @@ _MUTATIONS = st.lists(st.tuples(
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutations=_MUTATIONS)
 def test_mutated_model_loads_or_is_rejected(pipeline, mixed_model, mutations):
-    # a corrupt model file is a TreaError, and the CLI exits 0 or 3, never 1
+    # a corrupt model file is a FormatError, and the CLI exits 0 or 3, never 1
     data, path = mixed_model
     for mutation in mutations:
         data = _mutate(data, *mutation)
     path.write_bytes(data)
     try:
         net.load_model(path)
-    except TreaError:
+    except FormatError:
         pass
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):

@@ -464,21 +464,59 @@ class TestTrainReference:
             net.train_reference("galaxy", data, epochs=0, lr=0.1, seed=1)
 
 
+def _assert_round_trip(model, x, tmp_path):
+    """save -> load -> save is byte-identical, every field comes back equal
+    and of the same type, and the quantized scores are equal."""
+    p1, p2 = tmp_path / "a.tmdl", tmp_path / "b.tmdl"
+    net.save_model(model, p1)
+    again = net.load_model(p1)
+    net.save_model(again, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    for f in ("name", "input_shape", "seed"):
+        a, b = getattr(model, f), getattr(again, f)
+        assert a == b and type(a) is type(b), f
+    for a, b in zip(model.layers, again.layers, strict=True):
+        for f in dataclasses.fields(a):
+            u, v = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "mask" and u is not None:
+                assert np.array_equal(u.flags, v.flags)
+                u, v = u.retained_per_window, v.retained_per_window
+            if isinstance(u, np.ndarray):
+                assert np.array_equal(u, v) and u.dtype == v.dtype, f.name
+            elif f.compare:
+                assert u == v and type(u) is type(v), f.name
+    np.testing.assert_array_equal(net.forward_quant(again, x), net.forward_quant(model, x))
+    return again
+
+
 class TestSerialization:
-    def test_round_trip_identity(self, desk_model, tmp_path):
-        model = sharp.prune_model(desk_model)
-        p1, p2 = tmp_path / "a.tmdl", tmp_path / "b.tmdl"
-        net.save_model(model, p1)
-        again = net.load_model(p1)
-        net.save_model(again, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        for a, b in zip(model.layers, again.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
-            assert a.precision is b.precision
-            assert a.mn_scale == b.mn_scale
-            if a.mask is not None:
-                assert np.array_equal(a.mask.flags, b.mask.flags)
+    def test_round_trip_identity(self, desk_model, desk_data, tmp_path):
+        _assert_round_trip(sharp.prune_model(desk_model), desk_data.test_x[:8], tmp_path)
+        # random topologies: between them, both paddings, strides 1 and 2,
+        # masked and unmasked conv layers, both precisions and every select
+        seen = set()
+        for seed in range(16):
+            model, x = random_topology(np.random.default_rng(seed))
+            _assert_round_trip(model, x, tmp_path)
+            for layer in model.layers:
+                seen |= {layer.precision, ("select", layer.activation)}
+                if layer.kind == "conv2d":
+                    seen |= {("masked", layer.mask is not None), ("padding", layer.padding),
+                             ("stride", layer.stride)}
+        assert seen == {*MacMode, *(("select", s) for s in AfSelect),
+                        *(("masked", m) for m in (True, False)),
+                        *(("padding", p) for p in ("valid", "same")),
+                        *(("stride", s) for s in (1, 2))}
+
+    def test_numpy_scalar_seed_and_retained_count_round_trip(self, tmp_path):
+        model = _conv_dense_model()
+        layer = model.layers[0]
+        model.seed = np.int64(7)
+        layer.mask = net.SparsityMask(layer.mask.flags, np.int64(layer.mask.retained_per_window))
+        assert type(model.seed) is type(layer.mask.retained_per_window) is int
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, (3, 1, 5, 5))
+        again = _assert_round_trip(model, x, tmp_path)
+        assert again.seed == 7 and again.layers[0].mask.retained_per_window == 4
 
     def test_prepared_layers_are_neither_saved_nor_copied(self, desk_model, desk_data,
                                                           tmp_path):
@@ -562,17 +600,34 @@ class TestSerialization:
         ("version", 1.0),
         ("mn_scale", True),
         ("mn_scale", "1.0"),
+        ("mn_scale", 1e400),            # JSON's 1e400 reads as inf
+        pytest.param("mn_scale", 10**400, id="mn_scale-huge-int"),
+        ("retained_per_window", 4.0),
+        pytest.param("kind", ["conv2d"], id="kind-list"),
+        pytest.param("padding", ["valid"], id="padding-list"),
+        ("seed", 1.5),
+        pytest.param("input_shape", [1, [12, 12], 12], id="input_shape-ragged"),
+        ("weights", math.nan),          # a value in the blob, not the manifest
     ])
     def test_malformed_manifest_is_format_error(self, desk_model, tmp_path, key, value):
         p = tmp_path / "m.tmdl"
         net.save_model(sharp.prune_model(desk_model), p)   # layer 0 has a mask
+        offsets = []
 
         def edit(manifest):
             top = key in ("layers", "input_shape", "seed", "name", "version")
             target = manifest if top else manifest["layers"][0]
-            target[key] = value
+            if key == "weights":
+                offsets.append(target["weight_offset"])
+            else:
+                target[key] = value
 
         rewrite_manifest(p, edit)
+        if offsets:
+            data = bytearray(p.read_bytes())
+            (mlen,) = struct.unpack_from("<I", data, 8)
+            struct.pack_into("<d", data, 12 + mlen + offsets[0], value)
+            p.write_bytes(data)
         with pytest.raises(FormatError, match=key):
             net.load_model(p)
 
@@ -592,7 +647,8 @@ class TestSerialization:
         p = tmp_path / "m.tmdl"
         net.save_model(desk_model, p)
         rewrite_manifest(p, lambda m: m["layers"][0].update(mn_scale=float("nan")))
-        with pytest.raises(DomainError, match="finite"):
+        # the descriptor's DomainError, reported as a malformed file
+        with pytest.raises(FormatError, match=r"layers\[0\]: mn_scale must be a finite"):
             net.load_model(p)
 
 
@@ -604,6 +660,10 @@ def _masked_conv_layer():
     layer.weights = layer.weights * layer.mask.flags
     layer.refresh_mn_scale()
     return layer
+
+
+_DENSE_24 = net.LayerDescriptor("dense", AfSelect.TANH, MacMode.FXP8, np.zeros((3, 24)),
+                                np.zeros(3))
 
 
 def _conv_dense_model():
@@ -800,27 +860,54 @@ class TestDescriptors:
         ("stride", 1.5, DomainError),
         ("stride", True, DomainError),
         ("padding", "bogus", ShapeMismatch),
+        ("mn_scale", "1.0", DomainError),
+        ("mn_scale", 10**400, DomainError),        # past float's range
+        ("kind", np.array(["dense", "x"]), ShapeMismatch),
+        ("padding", np.array(["valid"]), ShapeMismatch),
+        ("model.name", 5, DomainError),
+        ("model.seed", 1.5, DomainError),
+        ("model.seed", True, DomainError),
+        ("model.layers", [], ShapeMismatch),
+        ("model.layers", ["dense"], ShapeMismatch),
+        ("model.layers", [_DENSE_24], ShapeMismatch),  # the input has 25 features
+        ("model.input_shape", 5, ShapeMismatch),
+        ("model.input_shape", (1, 2, 2), ShapeMismatch),  # smaller than the 3x3 kernel
+        ("mask.retained_per_window", 4.0, DomainError),
+        ("mask.retained_per_window", True, DomainError),
+        ("mask.retained_per_window", -1, DomainError),
+        ("weights", "abc", DomainError),
+        ("bias", [[0.0], [0.0, 1.0]], DomainError),    # ragged
     ], ids=["kind-unknown", "kind-dense-on-conv", "activation-reserved", "activation-7",
             "precision-str", "weights-nan", "bias-inf", "mn_scale-negative", "mn_scale-bool",
             "mask-wrong-shape", "mask-bare-flags", "stride-0", "stride-float",
-            "stride-bool", "padding-unknown"])
+            "stride-bool", "padding-unknown", "mn_scale-str", "mn_scale-huge-int",
+            "kind-array", "padding-array", "name-int", "seed-float", "seed-bool",
+            "layers-empty", "layers-not-descriptors", "layers-chain", "input_shape-int",
+            "input_shape-chain", "retained-float", "retained-bool", "retained-negative",
+            "weights-str", "bias-ragged"])
     def test_every_field_rule_runs_at_construction_and_assignment(self, field, value,
                                                                    error):
         # the same check, so the same error, whether the value arrives by
-        # construction or by assignment; a rejected value is not stored
+        # construction or by assignment; a rejected value is not stored.
+        # "model.f" is a network field, "mask.f" one of layer 0's mask and "f"
+        # one of layer 0
         model = _conv_dense_model()
-        layer = model.layers[0]
-        args = {f.name: getattr(layer, f.name) for f in dataclasses.fields(layer) if f.init}
+        owner, _, field = field.rpartition(".")
+        target = {"": model.layers[0], "model": model, "mask": model.layers[0].mask}[owner]
+        args = {f.name: getattr(target, f.name) for f in dataclasses.fields(target) if f.init}
         args[field] = value
         with pytest.raises(error) as built:
-            net.LayerDescriptor(**args)
+            type(target)(**args)
         x = np.random.default_rng(5).uniform(-0.9, 0.9, (3, 1, 5, 5))
         want = net.forward_float(model, x), net.forward_quant(model, x)
-        kept = getattr(layer, field)
-        with pytest.raises(error) as assigned:
-            setattr(layer, field, value)
-        assert built.type is assigned.type is error and issubclass(error, TreaError)
-        assert getattr(layer, field) is kept
+        kept = getattr(target, field)
+        # a mask is frozen, so construction is the only way a count arrives
+        frozen = owner == "mask"
+        with pytest.raises(dataclasses.FrozenInstanceError if frozen else error) as assigned:
+            setattr(target, field, value)
+        assert built.type is error and issubclass(error, TreaError)
+        assert frozen or assigned.type is error
+        assert getattr(target, field) is kept
         np.testing.assert_array_equal(net.forward_float(model, x), want[0])
         np.testing.assert_array_equal(net.forward_quant(model, x), want[1])
 
@@ -871,6 +958,62 @@ class TestDescriptors:
         mask = net.SparsityMask(flags, 9)
         flags[0, 0, 0, 0] = False
         assert mask.total_retained == 9 and not mask.flags.flags.writeable
+
+
+def _two_conv_model():
+    """(1, 5, 5) -> 3x3 valid conv -> (2, 3, 3) -> 3x3 valid conv -> (2, 1, 1)."""
+    rng = np.random.default_rng(8)
+    layers = [net.LayerDescriptor("conv2d", AfSelect.TANH, mode, rng.normal(0.0, 0.3, shape),
+                                  np.zeros(2))
+              for mode, shape in ((MacMode.FXP8, (2, 1, 3, 3)),
+                                  (MacMode.FXP4_SIMD, (2, 2, 3, 3)))]
+    for layer in layers:
+        layer.refresh_mn_scale()
+    return net.NetworkDescriptor("two", (1, 5, 5), layers)
+
+
+def _conv(c_in):
+    return net.LayerDescriptor("conv2d", AfSelect.TANH, MacMode.FXP8,
+                               np.full((2, c_in, 3, 3), 0.1), np.zeros(2))
+
+
+# edits in place that no rule sees, each breaking the shape chain
+_BREAKS = {
+    "dense-features": (_conv_dense_model, lambda m: setattr(m.layers[0], "stride", 2)),
+    "conv-channels": (_two_conv_model, lambda m: m.layers.__setitem__(1, _conv(3))),
+    "conv-kernel": (_two_conv_model, lambda m: setattr(m.layers[0], "stride", 2)),
+    "conv-after-dense": (_conv_dense_model, lambda m: m.layers.append(_conv(1))),
+}
+_ENTRIES = {
+    "forward_float": lambda m, x: net.forward_float(m, x),
+    "forward_quant": lambda m, x: net.forward_quant(m, x),
+    "simulate": lambda m, x: sched.simulate(m, x[0], sched.ArrayConfig()),
+}
+
+
+class TestBrokenChain:
+    """A layer edited in place can break the model's shape chain; every pass
+    then raises `ShapeMismatch`, not a numpy error, and nothing saves it."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("brk", sorted(_BREAKS))
+    def test_every_entry_point_raises_shape_mismatch(self, brk, entry):
+        build, edit = _BREAKS[brk]
+        model = build()
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, (2, 1, 5, 5))
+        _ENTRIES[entry](model, x)   # warm: the memos hold the unbroken layers
+        edit(model)
+        with pytest.raises(ShapeMismatch):
+            _ENTRIES[entry](model, x)
+
+    @pytest.mark.parametrize("brk", sorted(_BREAKS))
+    def test_save_refuses_a_broken_chain(self, brk, tmp_path):
+        build, edit = _BREAKS[brk]
+        model = build()
+        edit(model)
+        with pytest.raises(ShapeMismatch, match="layer"):
+            net.save_model(model, tmp_path / "m.tmdl")
+        assert not (tmp_path / "m.tmdl").exists()
 
 
 class TestBackward:
