@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two rules for a
+number a caller passes: `integer` (a Python or NumPy integer, never a bool)
+and `real` (a finite real, never a bool). Each returns the plain Python
+value or raises the caller's error class naming the field."""
+
+import math
+import numbers
 
 
 class TreaError(Exception):
@@ -43,3 +49,29 @@ class ShapeMismatch(TreaError, ValueError):
 
 class FormatError(TreaError, ValueError):
     """Malformed or unsupported model file."""
+
+
+def integer(value, what, least=None, error=DomainError) -> int:
+    """`value` as a Python int, raising `error` naming `what` unless it is an
+    int or NumPy integer, not a bool, and at least `least` when given."""
+    if type(value) is not int:   # a plain int skips the ABC check: FxPValue runs this per code
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def real(value, what, error=DomainError) -> float:
+    """`value` as a Python float, raising `error` naming `what` unless it is
+    a finite real number and not a bool; one past float's range is not
+    finite."""
+    try:
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:   # an int past float's range
+        finite = False
+    if not finite:
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return float(value)

@@ -22,13 +22,12 @@ instead of making a pass per shift plane.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import AllZeroError, DomainError, RangeError
+from .errors import AllZeroError, DomainError, RangeError, integer
 
 __all__ = [
     "FxPFormat",
@@ -51,19 +50,6 @@ __all__ = [
 ]
 
 
-def _integer(v, what: str) -> int:
-    """`v` as a plain int: integers (NumPy's too) only, never a bool or a
-    float, which would truncate or hash onto an integer's memo."""
-    if type(v) is int:
-        return v
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise DomainError(f"{what} must be an integer, got {v!r}")
-
-
 @dataclass(frozen=True)
 class FxPFormat:
     """N-bit signed fixed-point layout with F fractional bits (N >= F + 1)."""
@@ -73,7 +59,7 @@ class FxPFormat:
 
     def __post_init__(self):
         for name in ("total_bits", "frac_bits"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if not 2 <= self.total_bits <= 32:
             raise DomainError(f"total_bits must be in 2..32, got {self.total_bits}")
         if not 1 <= self.frac_bits <= self.total_bits - 1:
@@ -117,11 +103,7 @@ class FxPValue:
     fmt: FxPFormat
 
     def __post_init__(self):
-        try:
-            raw = operator.index(self.raw)
-        except TypeError:
-            raise RangeError(f"raw must be an integer, got {self.raw!r}") from None
-        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "raw", integer(self.raw, "raw", error=RangeError))
         if not self.fmt.raw_min <= self.raw <= self.fmt.raw_max:
             raise RangeError(
                 f"raw {self.raw} outside [{self.fmt.raw_min}, {self.fmt.raw_max}]"
@@ -254,9 +236,7 @@ def msd_decompose(w: FxPValue, t: int) -> PoTDecomposition:
     any representable weight). The result is immutable and shared: one
     decomposition per (code, F, t) is kept in a bounded memo.
     """
-    t = _integer(t, "iteration count")
-    if t < 1:
-        raise DomainError(f"iteration count must be >= 1, got {t}")
+    t = integer(t, "iteration count", 1)
     if abs(w.raw) >= (1 << w.fmt.frac_bits):
         raise DomainError(f"|{decode(w)}| >= 1; decomposition needs |w| < 1")
     return _decomposition(w.raw, w.fmt.frac_bits, t)
@@ -293,9 +273,7 @@ def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
 
 def _table_depth(fmt: FxPFormat, t) -> int:
     """The depth a table of `fmt` is cached at for iteration count t."""
-    t = _integer(t, "iteration count")
-    if t < 1:
-        raise DomainError(f"iteration count must be >= 1, got {t}")
+    t = integer(t, "iteration count", 1)
     # greedy MSD uses each of the F+1 shifts at most once, so every larger t
     # gives the same table: a cache holds at most F+1 tables per format
     return min(t, fmt.frac_bits + 1)
@@ -363,10 +341,11 @@ def _term_codes(fmt: FxPFormat, t: int) -> TermCodes:
 def error_bound(x: FxPValue, t: int, frac_bits: int) -> float:
     """Worst-case product error: residual part |x| * 2**-t plus one LSB of
     truncation per accumulated term. t = 0 gives the degenerate |x|."""
-    t = _integer(t, "iteration count")
-    if t < 0:
-        raise DomainError(f"iteration count must be >= 0, got {t}")
-    return abs(decode(x)) * 2.0 ** -t + t * 2.0 ** -frac_bits
+    t = integer(t, "iteration count", 0)
+    try:
+        return abs(decode(x)) * 2.0 ** -t + t * 2.0 ** -frac_bits
+    except OverflowError:   # a t or frac_bits past float's range
+        raise DomainError(f"no float bound for t = {t}, frac_bits = {frac_bits}") from None
 
 
 def error_sweep(fmt: FxPFormat, t_values) -> list[tuple[int, float, float]]:

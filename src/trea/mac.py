@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AccumulatorOverflow, DomainError, LengthMismatch
+from .errors import AccumulatorOverflow, DomainError, LengthMismatch, integer
 from .fxp import FXP4, FXP8, FxPFormat, FxPValue, PoTTerm, msd_decompose, trunc_shift
 
 __all__ = [
@@ -47,31 +47,23 @@ class MacMode(Enum):
 
 
 def _ceil_log2(k: int) -> int:
-    if k < 1:
-        raise DomainError(f"operand count must be >= 1, got {k}")
-    return (k - 1).bit_length()
+    return (integer(k, "operand count", 1) - 1).bit_length()
 
 
 def accumulator_width(n_bits: int, k_retained: int) -> int:
     """Accumulator width with pre-accumulation truncation: each partial
     product is already back at N bits, so only the operand count grows it."""
-    if n_bits < 2:
-        raise DomainError(f"operand width must be >= 2, got {n_bits}")
-    return n_bits + _ceil_log2(k_retained)
+    return integer(n_bits, "operand width", 2) + _ceil_log2(k_retained)
 
 
 def conventional_accumulator_width(n_bits: int, k: int) -> int:
     """Width a full-product multiplier would need for a K-term dot product."""
-    if n_bits < 2:
-        raise DomainError(f"operand width must be >= 2, got {n_bits}")
-    return 2 * n_bits + _ceil_log2(k)
+    return 2 * integer(n_bits, "operand width", 2) + _ceil_log2(k)
 
 
 def kernel_cycles(k_retained: int, mode: MacMode) -> int:
     """Execution cycles for one kernel window: ceil(retained / lanes)."""
-    if k_retained < 1:
-        raise DomainError(f"operand count must be >= 1, got {k_retained}")
-    return -(-k_retained // mode.lanes)
+    return -(-integer(k_retained, "operand count", 1) // mode.lanes)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,9 @@ labeled as externally sourced in rendered reports.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, integer, real
 
 __all__ = [
     "PlatformNumbers",
@@ -43,13 +42,16 @@ class PlatformNumbers:
     f_clk_hz: float
 
     def __post_init__(self):
+        for name, rule in (("luts_used", integer), ("luts_total", integer), ("ffs_used", integer),
+                           ("ffs_total", integer), ("p_avg_watts", real), ("f_clk_hz", real)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if not 0 <= self.luts_used <= self.luts_total:
             raise DomainError("LUT usage outside [0, total]")
         if not 0 <= self.ffs_used <= self.ffs_total:
             raise DomainError("FF usage outside [0, total]")
-        if not 0 <= self.p_avg_watts < math.inf:
+        if self.p_avg_watts < 0:
             raise DomainError("average power must be finite and nonnegative")
-        if not 0 < self.f_clk_hz < math.inf:
+        if self.f_clk_hz <= 0:
             raise DomainError("clock frequency must be finite and positive")
 
 
@@ -62,14 +64,16 @@ def nfpci(p: PlatformNumbers) -> float:
 
 def sfil(cpfi: int, f_clk_hz: float) -> float:
     """Single-frame latency in seconds: cycles over clock."""
-    if not 0 < f_clk_hz < math.inf:
+    f_clk_hz = real(f_clk_hz, "clock frequency")
+    if f_clk_hz <= 0:
         raise DomainError("clock frequency must be finite and positive")
-    return cpfi / f_clk_hz
+    return real(integer(cpfi, "cpfi", 0), "cpfi") / f_clk_hz
 
 
 def ecpi(p_avg_watts: float, sfil_seconds: float) -> float:
     """Energy per frame in joules (rendered as microjoules in reports)."""
-    if not (0 <= p_avg_watts < math.inf and 0 <= sfil_seconds < math.inf):
+    p_avg_watts, sfil_seconds = real(p_avg_watts, "average power"), real(sfil_seconds, "latency")
+    if p_avg_watts < 0 or sfil_seconds < 0:
         raise DomainError("power and latency must be finite and nonnegative")
     return p_avg_watts * sfil_seconds
 

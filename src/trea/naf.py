@@ -48,7 +48,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DomainError, InvalidSelect
+from .errors import InvalidSelect, integer
 from .fxp import FxPValue
 
 __all__ = [
@@ -83,11 +83,10 @@ class AfSelect(IntEnum):
     def from_code(cls, code: int) -> "AfSelect":
         """The select for an integer code; any other type, a bool included,
         and the reserved code raise `InvalidSelect`."""
-        if isinstance(code, bool) or not isinstance(code, (int, np.integer)):
-            raise InvalidSelect(f"activation select must be an integer code, got {code!r}")
+        code = integer(code, "activation select (an integer code)", error=InvalidSelect)
         if code not in (0, 1, 2):
             raise InvalidSelect(f"activation select code {code} is reserved")
-        return cls(int(code))
+        return cls(code)
 
 
 def _iteration_schedule(n: int) -> tuple[int, ...]:
@@ -301,8 +300,5 @@ def af_relu(x: FxPValue) -> FxPValue:
 def piso_latency(n_outputs: int) -> int:
     """Shared-unit latency: 9-cycle pipeline fill, then one output per cycle.
     Zero outputs cost nothing."""
-    if n_outputs < 0:
-        raise DomainError(f"output count must be nonnegative, got {n_outputs}")
-    if n_outputs == 0:
-        return 0
-    return PIPELINE_STAGES + n_outputs
+    n_outputs = integer(n_outputs, "output count", 0)
+    return PIPELINE_STAGES + n_outputs if n_outputs else 0

@@ -50,7 +50,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -65,6 +64,8 @@ from .errors import (
     FormatError,
     ShapeMismatch,
     TreaError,
+    integer,
+    real,
 )
 from .fxp import FXP8, FxPFormat, term_codes
 from .mac import MacMode, accumulator_width
@@ -110,20 +111,19 @@ def _seal(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
-def _sealed(value, dtype) -> np.ndarray:
+def _sealed(value, dtype, name="array") -> np.ndarray:
     """`value` as a sealed `dtype` array: kept if it already is one, so
     sealed arrays are shared, and otherwise copied, so the caller's array
-    stays writable."""
+    stays writable. What numpy cannot convert (a str, a ragged list) raises
+    `DomainError` naming `name`."""
     base = getattr(value, "base", None)
     if (isinstance(base, np.ndarray) and value.dtype == dtype and base.flags.owndata
             and not (value.flags.writeable or base.flags.writeable)):
         return value
-    return _seal(np.array(value, dtype=dtype))
-
-
-def _integer(value) -> bool:
-    """An integer, numpy's included, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    try:
+        return _seal(np.array(value, dtype=dtype))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be an array of numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,13 @@ class SparsityMask:
     retained_per_window: int
 
     def __post_init__(self):
-        retained = self.retained_per_window
-        if not _integer(retained) or retained < 0:
-            raise DomainError(f"retained_per_window must be an integer >= 0, got {retained!r}")
-        flags = _sealed(self.flags, bool)   # masks are frozen once built
+        retained = integer(self.retained_per_window, "retained_per_window", 0)
+        flags = _sealed(self.flags, bool, "flags")   # masks are frozen once built
+        if flags.ndim == 0:
+            raise ShapeMismatch(f"flags must be an array of one dimension or more, "
+                                f"got {self.flags!r}")
         object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "retained_per_window", int(retained))
+        object.__setattr__(self, "retained_per_window", retained)
         if flags.ndim == 4 and np.any(flags.sum(axis=(2, 3)) != retained):
             raise ShapeMismatch(
                 f"mask keeps other than retained_per_window = "
@@ -196,10 +197,7 @@ class LayerDescriptor:
             if not isinstance(value, MacMode):
                 raise DomainError(f"precision must be a MacMode, got {value!r}")
         elif name in ("weights", "bias"):
-            try:
-                value = _sealed(value, np.float64)
-            except (TypeError, ValueError) as exc:   # a str, a ragged list
-                raise DomainError(f"{name} must be an array of numbers: {exc}") from exc
+            value = _sealed(value, np.float64, name)
             if name == "weights" and "weights" not in held:
                 _check_ndim(held["kind"], value)
             kept = held.get("weights", value).shape   # the weights' shape, once set
@@ -210,27 +208,18 @@ class LayerDescriptor:
             if not np.isfinite(value).all():
                 raise DomainError(f"{name} must be finite")
         elif name == "mn_scale":   # O(1): QAT assigns the scale every step
-            try:
-                finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                          and math.isfinite(value))
-            except OverflowError:   # an int past float's range
-                finite = False
-            if not finite:
-                raise DomainError(f"mn_scale must be a finite number, got {value!r}")
+            value = real(value, "mn_scale")
             if value <= 0:
                 raise ShapeMismatch("mn_scale must be positive")
-            value = float(value)
         elif name == "mask" and value is not None:
             if not isinstance(value, SparsityMask):
                 raise DomainError(f"mask must be a SparsityMask, got {type(value).__name__}")
             if value.flags.shape != held["weights"].shape:
                 raise ShapeMismatch("mask shape must match weight shape")
         elif name == "stride":
-            if not _integer(value):
-                raise DomainError(f"stride must be an integer, got {value!r}")
+            value = integer(value, "stride")
             if value < 1:
                 raise ShapeMismatch("stride must be >= 1")
-            value = int(value)
         elif name == "padding" and not (isinstance(value, str) and value in ("valid", "same")):
             raise ShapeMismatch(f"unknown padding {value!r}")
         object.__setattr__(self, name, value)
@@ -289,17 +278,9 @@ class NetworkDescriptor:
         if name == "name" and not isinstance(value, str):
             raise DomainError(f"name must be a str, got {value!r}")
         elif name == "seed":
-            if not _integer(value):
-                raise DomainError(f"seed must be an integer, got {value!r}")
-            value = int(value)
+            value = integer(value, "seed")
         elif name == "input_shape":
-            # `tolist`, not np.shape, which raises on a ragged list
-            dims = value.tolist() if isinstance(value, np.ndarray) else value
-            if not (isinstance(dims, (tuple, list)) and len(dims) == 3
-                    and all(_integer(v) and v >= 1 for v in dims)):
-                raise ShapeMismatch(f"input_shape must be (channels, height, width), "
-                                    f"got {value!r}")
-            value = tuple(int(v) for v in dims)
+            value = _input_shape(value)
             if "layers" in held:
                 _layer_shapes(value, held["layers"])
         elif name == "layers":
@@ -318,6 +299,15 @@ class NetworkDescriptor:
 
     def copy(self) -> "NetworkDescriptor":
         return replace(self, layers=[l.copy() for l in self.layers])
+
+
+def _input_shape(value) -> tuple:
+    """`value` as an input shape, three counts >= 1 (`ShapeMismatch`)."""
+    # `tolist`, not np.shape, which raises on a ragged list
+    dims = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 3):
+        raise ShapeMismatch(f"input_shape must be (channels, height, width), got {value!r}")
+    return tuple(integer(v, "input_shape dimension", 1, ShapeMismatch) for v in dims)
 
 
 def _layer_shapes(input_shape, layers):
@@ -390,17 +380,14 @@ def check_dataset_args(seed: int, n_train: int, n_test: int, classes: int = 3,
     each argument an integer, seed, n_train and n_test >= 0, classes >= 2,
     8 <= image_size <= 256, and (n_train + n_test) * image_size**2 at most
     2**24 pixels. Raises `DomainError` naming the field."""
-    for name, value, least in (("seed", seed, 0), ("n_train", n_train, 0),
-                               ("n_test", n_test, 0), ("classes", classes, 2),
-                               ("image_size", image_size, 8)):
-        if not _integer(value):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise DomainError(f"{name} must be >= {least}, got {value}")
+    # as Python ints, which cannot wrap as numpy integers can
+    seed, n_train, n_test, classes, image_size = (
+        integer(value, name, least) for name, value, least in (
+            ("seed", seed, 0), ("n_train", n_train, 0), ("n_test", n_test, 0),
+            ("classes", classes, 2), ("image_size", image_size, 8)))
     if image_size > _MAX_IMAGE_SIZE:
         raise DomainError(f"image_size must be <= {_MAX_IMAGE_SIZE}, got {image_size}")
-    # in Python ints, which cannot wrap as numpy integers can
-    pixels = (int(n_train) + int(n_test)) * int(image_size) ** 2
+    pixels = (n_train + n_test) * image_size ** 2
     if pixels > _MAX_PIXELS:
         raise DomainError(f"(n_train + n_test) * image_size**2 must be <= {_MAX_PIXELS} "
                           f"pixels, got {pixels}")
@@ -490,37 +477,33 @@ def desk_arch(classes: int):
 
 def build_network(arch, input_shape, seed: int, name: str = "net") -> NetworkDescriptor:
     """Seeded random initialization of an architecture spec (list of
-    (kind, params) pairs)."""
-    rng = np.random.default_rng(seed)
+    (kind, params) pairs). Each layer's input shape is the previous one's
+    output from `_layer_shapes`, so an arch that misfits its input raises
+    `ShapeMismatch` at the first layer that does."""
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     layers = []
-    cur = tuple(input_shape)
+    shape = input_shape = _input_shape(input_shape)
     for kind, params in arch:
         if kind == "conv2d":
-            c = cur[0]
+            c = shape[0]
             kh, kw = params["kernel"]
             oc = params["out_channels"]
-            stride = params.get("stride", 1)
-            padding = params.get("padding", "valid")
-            fan_in = c * kh * kw
-            w = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(oc, c, kh, kw))
+            w = rng.normal(0.0, 1.0 / math.sqrt(c * kh * kw), size=(oc, c, kh, kw))
             layer = LayerDescriptor(
                 kind, params["activation"], MacMode.FXP8, w, np.zeros(oc),
-                stride=stride, padding=padding,
+                stride=params.get("stride", 1), padding=params.get("padding", "valid"),
             )
-            h, wd = cur[1], cur[2]
-            ho, wo = _conv_out_hw(h, wd, kh, kw, stride, padding)
-            cur = (oc, ho, wo)
         elif kind == "dense":
-            feats = int(np.prod(cur))
+            feats = math.prod(shape)
             of = params["out_features"]
             w = rng.normal(0.0, 1.0 / math.sqrt(feats), size=(of, feats))
             layer = LayerDescriptor(kind, params["activation"], MacMode.FXP8,
                                     w, np.zeros(of))
-            cur = (of,)
         else:
             raise ShapeMismatch(f"unknown layer kind {kind!r}")
         layers.append(layer)
-    model = NetworkDescriptor(name=name, input_shape=tuple(input_shape),
+        shape = _layer_shapes(input_shape, layers)[-1]   # raises at a misfit
+    model = NetworkDescriptor(name=name, input_shape=input_shape,
                               layers=layers, seed=seed)
     for layer in model.layers:
         layer.refresh_mn_scale()
@@ -666,9 +649,8 @@ def _softmax(z):
 def _minibatches(dataset: Dataset, epochs: int, lr: float, seed: int):
     """The seeded SGD order of both training loops: (inputs, labels)
     minibatches of _BATCH_SIZE over one permutation per epoch."""
-    if epochs < 0:
-        raise DomainError(f"epochs must be >= 0, got {epochs}")
-    if not 0 <= lr < math.inf:
+    epochs = integer(epochs, "epochs", 0)
+    if real(lr, "learning rate") < 0:
         raise DomainError(f"learning rate must be finite and >= 0, got {lr}")
     rng = np.random.default_rng(seed)
     n = len(dataset.train_x)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import net as _net
-from .errors import DomainError
+from .errors import DomainError, integer, real
 from .mac import kernel_cycles
 from .naf import piso_latency
 
@@ -46,9 +46,9 @@ class ArrayConfig:
     f_clk: float = 100e6
 
     def __post_init__(self):
-        if self.mac_units < 1:
-            raise DomainError("mac_units must be >= 1")
-        if not 0 < self.f_clk < math.inf:
+        object.__setattr__(self, "mac_units", integer(self.mac_units, "mac_units", 1))
+        object.__setattr__(self, "f_clk", real(self.f_clk, "f_clk"))
+        if self.f_clk <= 0:
             raise DomainError("f_clk must be finite and positive")
 
 

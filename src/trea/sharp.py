@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as _net
-from .errors import DomainError, KernelTooSmall
+from .errors import DomainError, KernelTooSmall, integer, real
 from .mac import MacMode, kernel_cycles
 from .net import SparsityMask
 
@@ -44,7 +44,7 @@ class PrecisionAssignment:
 def retained_count(k_h: int, k_w: int) -> int:
     """Weights kept per kernel window: 4 * floor(N/8), always a multiple of
     the SIMD width. Windows below 8 positions would retain nothing."""
-    n = k_h * k_w
+    n = integer(k_h, "k_h", 1) * integer(k_w, "k_w", 1)
     if n < 8:
         raise KernelTooSmall(f"{k_h}x{k_w} window has {n} < 8 positions")
     return 4 * (n // 8)
@@ -97,8 +97,10 @@ def assign_precision(model, evaluate, epsilon: float) -> PrecisionAssignment:
     are visited exactly once, so the result is deterministic for a
     deterministic evaluate function.
     """
-    if math.isnan(epsilon):
-        raise DomainError("accuracy budget epsilon is NaN")
+    # +-inf is a budget every drop fits or none does; no drop exceeds NaN, so
+    # NaN would send every layer to 4 bits
+    epsilon = (float(epsilon) if isinstance(epsilon, float) and math.isinf(epsilon)
+               else real(epsilon, "accuracy budget epsilon"))
     modes = (MacMode.FXP8,) * len(model.layers)
     acc_running = evaluate(apply_assignment(model, PrecisionAssignment(modes, epsilon)))
     for i in range(len(modes)):

@@ -780,6 +780,29 @@ class TestDescriptors:
         with pytest.raises(ShapeMismatch):
             net.NetworkDescriptor("bad", (1, 4, 4), [dense, conv])
 
+    @pytest.mark.parametrize("arch, match", [
+        # the empty conv output left the dense layer no fan-in: ZeroDivisionError
+        ([("conv2d", dict(out_channels=2, kernel=(5, 5), activation=AfSelect.TANH)),
+          ("dense", dict(out_features=2, activation=AfSelect.TANH))], "kernel larger"),
+        # the conv read a (features,) shape as (C, H, W): IndexError
+        ([("dense", dict(out_features=4, activation=AfSelect.TANH)),
+          ("conv2d", dict(out_channels=1, kernel=(1, 1), activation=AfSelect.TANH))],
+         "conv2d after a dense"),
+    ], ids=["empty-conv-then-dense", "conv-after-dense"])
+    def test_build_network_rejects_a_misfit_arch(self, arch, match):
+        with pytest.raises(ShapeMismatch, match=match):
+            net.build_network(arch, (1, 4, 4), seed=1)
+
+    @pytest.mark.parametrize("flags, error", [
+        ([[True], [True, False]], DomainError),
+        ("abc", ShapeMismatch),
+        (None, ShapeMismatch),
+        (True, ShapeMismatch),
+    ], ids=["ragged", "str", "None", "scalar"])
+    def test_mask_flags_must_be_an_array(self, flags, error):
+        with pytest.raises(error, match="flags must be"):
+            net.SparsityMask(flags, 0)
+
 
     def test_conv_mask_keeps_retained_per_window_in_every_window(self):
         # `sched` charges retained_per_window operands per window while the
