@@ -11,7 +11,11 @@ product (`net`'s accumulate, `error_sweep`) reads the same terms from the one
 cached `term_table`, in shift-plane form sum_m sign_m * (x >> m). A weight
 code's decomposition is memoized per (code, F, t), as the hardware encodes its
 static weights once, offline; the per-call shift-and-add over those terms is
-what stays the oracle.
+what stays the oracle. The values `potq_multiply` and `trunc_shift` return
+come from a second bounded memo, one immutable `FxPValue` per (raw, format)
+(`_code`), which holds results, never products: each call still checks its
+operands, shifts and adds to find the raw, and range-checks a raw the memo
+has not seen.
 
 `term_codes` holds the table's per-code siblings, derived from it and cached
 beside it: the signs in float32, each code's reach and greedy value, and the
@@ -103,11 +107,12 @@ class FxPValue:
     fmt: FxPFormat
 
     def __post_init__(self):
-        object.__setattr__(self, "raw", integer(self.raw, "raw", error=RangeError))
-        if not self.fmt.raw_min <= self.raw <= self.fmt.raw_max:
-            raise RangeError(
-                f"raw {self.raw} outside [{self.fmt.raw_min}, {self.fmt.raw_max}]"
-            )
+        raw, fmt = self.raw, self.fmt
+        if type(raw) is not int:   # a plain int is already the stored form
+            raw = integer(raw, "raw", error=RangeError)
+            object.__setattr__(self, "raw", raw)
+        if not fmt.raw_min <= raw <= fmt.raw_max:
+            raise RangeError(f"raw {raw} outside [{fmt.raw_min}, {fmt.raw_max}]")
 
     @property
     def value(self) -> float:
@@ -139,9 +144,7 @@ def trunc_shift(x: FxPValue, m: int) -> FxPValue:
     Matches a hardware shifter; per-shift truncation error lies in
     [0, 2**-F) of the true scaled value.
     """
-    if m < 0:
-        raise DomainError(f"shift count must be nonnegative, got {m}")
-    return FxPValue(x.raw >> m, x.fmt)
+    return _code(x.raw >> integer(m, "shift count", 0), x.fmt)
 
 
 def mn_normalize(weights, fmt: FxPFormat = FXP8):
@@ -170,10 +173,11 @@ class PoTTerm:
     shift: int
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.shift < 0:
-            raise ValueError(f"shift must be nonnegative, got {self.shift}")
+        sign = integer(self.sign, "sign")
+        if sign not in (-1, 1):
+            raise DomainError(f"sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "shift", integer(self.shift, "shift", 0))
 
     @property
     def value(self) -> Fraction:
@@ -214,6 +218,10 @@ _MEMO_SIZE = 1 << 16
 # Memoized decompositions share their terms: at most 2 * 32 distinct ones.
 _term = functools.cache(PoTTerm)
 
+# One immutable value per (raw, fmt) for the products and shifts the oracles
+# return; a raw outside the format raises, so nothing invalid is cached.
+_code = functools.lru_cache(maxsize=_MEMO_SIZE)(FxPValue)
+
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _decomposition(raw: int, frac_bits: int, t: int) -> PoTDecomposition:
@@ -250,13 +258,13 @@ def potq_multiply(x: FxPValue, w: FxPValue, t: int) -> FxPValue:
     before accumulation. The result provably fits the operand format, so the
     final truncation back to N bits never wraps.
     """
-    if x.fmt != w.fmt:
+    if x.fmt is not w.fmt and x.fmt != w.fmt:
         raise DomainError(f"operand formats differ: {x.fmt} vs {w.fmt}")
     dec = msd_decompose(w, t)
     acc = 0
     for term in dec.terms:
         acc += term.sign * (x.raw >> term.shift)
-    return FxPValue(acc, x.fmt)
+    return _code(acc, x.fmt)
 
 
 def term_table(fmt: FxPFormat, t: int) -> np.ndarray:
@@ -342,8 +350,10 @@ def error_bound(x: FxPValue, t: int, frac_bits: int) -> float:
     """Worst-case product error: residual part |x| * 2**-t plus one LSB of
     truncation per accumulated term. t = 0 gives the degenerate |x|."""
     t = integer(t, "iteration count", 0)
+    frac_bits = integer(frac_bits, "frac_bits")
     try:
-        return abs(decode(x)) * 2.0 ** -t + t * 2.0 ** -frac_bits
+        # |raw| * lsb is |decode(x)| exactly: the lsb is a power of two
+        return abs(x.raw) * x.fmt.lsb * 2.0 ** -t + t * 2.0 ** -frac_bits
     except OverflowError:   # a t or frac_bits past float's range
         raise DomainError(f"no float bound for t = {t}, frac_bits = {frac_bits}") from None
 

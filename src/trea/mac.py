@@ -68,7 +68,10 @@ def kernel_cycles(k_retained: int, mode: MacMode) -> int:
 
 @dataclass(frozen=True)
 class Accumulator:
-    """Checked signed accumulator of B bits at the operand fractional scale."""
+    """Checked signed accumulator of B bits at the operand fractional scale.
+
+    Its range is checked once per value, at construction: `add` builds the
+    next accumulator and lets that check reject a sum past B bits."""
 
     raw: int
     width: int
@@ -82,13 +85,7 @@ class Accumulator:
             )
 
     def add(self, delta: int) -> "Accumulator":
-        total = self.raw + delta
-        lim = 1 << (self.width - 1)
-        if not -lim <= total <= lim - 1:
-            raise AccumulatorOverflow(
-                f"accumulating {delta} onto {self.raw} exceeds {self.width} bits"
-            )
-        return Accumulator(total, self.width, self.fmt)
+        return Accumulator(self.raw + delta, self.width, self.fmt)
 
     @property
     def value(self) -> float:
@@ -122,7 +119,7 @@ def dot_product(
         raise LengthMismatch("dot product needs at least one operand pair")
     fmt = mode.fmt
     for v in (*xs, *ws, bias):
-        if v.fmt != fmt:
+        if v.fmt is not fmt and v.fmt != fmt:
             raise DomainError(f"operand format {v.fmt} does not match mode {fmt}")
     k = len(xs)
     width = accumulator_width(fmt.total_bits, k + (1 if bias.raw != 0 else 0))

@@ -40,6 +40,22 @@ class PrecisionAssignment:
     modes: tuple[MacMode, ...]
     epsilon: float
 
+    def __post_init__(self):
+        try:
+            modes = tuple(self.modes)
+        except TypeError:
+            raise DomainError(f"modes must be a sequence, got {self.modes!r}") from None
+        for mode in modes:
+            if not isinstance(mode, MacMode):
+                raise DomainError(f"each mode must be a MacMode, got {mode!r}")
+        # +-inf is a budget every drop fits or none does; no drop exceeds NaN,
+        # so NaN would send every layer to 4 bits
+        eps = self.epsilon
+        eps = (float(eps) if isinstance(eps, float) and math.isinf(eps)
+               else real(eps, "accuracy budget epsilon"))
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "epsilon", eps)
+
 
 def retained_count(k_h: int, k_w: int) -> int:
     """Weights kept per kernel window: 4 * floor(N/8), always a multiple of
@@ -97,12 +113,9 @@ def assign_precision(model, evaluate, epsilon: float) -> PrecisionAssignment:
     are visited exactly once, so the result is deterministic for a
     deterministic evaluate function.
     """
-    # +-inf is a budget every drop fits or none does; no drop exceeds NaN, so
-    # NaN would send every layer to 4 bits
-    epsilon = (float(epsilon) if isinstance(epsilon, float) and math.isinf(epsilon)
-               else real(epsilon, "accuracy budget epsilon"))
-    modes = (MacMode.FXP8,) * len(model.layers)
-    acc_running = evaluate(apply_assignment(model, PrecisionAssignment(modes, epsilon)))
+    assignment = PrecisionAssignment((MacMode.FXP8,) * len(model.layers), epsilon)
+    modes, epsilon = assignment.modes, assignment.epsilon
+    acc_running = evaluate(apply_assignment(model, assignment))
     for i in range(len(modes)):
         trial = modes[:i] + (MacMode.FXP4_SIMD,) + modes[i + 1:]
         acc_trial = evaluate(apply_assignment(model, PrecisionAssignment(trial, epsilon)))

@@ -298,13 +298,33 @@ class TestPotqMultiply:
                 terms, _ = fxp._decompose_raw(w_raw, f, t)
                 for x in xs:
                     want = sum(s * (x.raw >> m) for s, m in terms)
-                    assert potq_multiply(x, w, t).raw == want
+                    got = potq_multiply(x, w, t)
+                    assert got == FxPValue(want, fmt) and type(got.raw) is int
 
     def test_result_fits_operand_format(self):
         # worst-magnitude operands never escape the 8-bit format
         for x_raw in (-128, 127):
             for w_raw in (-127, 127):
                 potq_multiply(FxPValue(x_raw, FXP8), FxPValue(w_raw, FXP8), 7)
+
+    def test_value_memo_stays_bounded_on_a_wide_format(self):
+        fmt, half = FxPFormat(32, 31), FxPValue(1 << 30, FxPFormat(32, 31))
+        raws = [(1 << 31) - 1 - 3 * i for i in range(fxp._MEMO_SIZE + 100)]
+        try:
+            for raw in raws:
+                assert potq_multiply(FxPValue(raw, fmt), half, 1).raw == raw >> 1
+            assert fxp._code.cache_info().currsize == fxp._MEMO_SIZE
+            # the oldest products were evicted and come back right
+            assert potq_multiply(FxPValue(raws[0], fmt), half, 1) == FxPValue(raws[0] >> 1, fmt)
+        finally:
+            fxp._code.cache_clear()
+
+    def test_value_memo_caches_no_rejected_raw(self):
+        size = fxp._code.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(RangeError):
+                fxp._code(200, FXP8)
+        assert fxp._code.cache_info().currsize == size
 
 
 class TestErrorBound:

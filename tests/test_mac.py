@@ -4,7 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trea.errors import AccumulatorOverflow, DomainError, LengthMismatch
-from trea.fxp import FXP4, FXP8, FxPValue, decode, encode, error_bound, msd_decompose, potq_multiply
+from trea.fxp import (
+    FXP4,
+    FXP8,
+    FxPFormat,
+    FxPValue,
+    decode,
+    encode,
+    error_bound,
+    msd_decompose,
+    potq_multiply,
+)
 from trea.mac import (
     Accumulator,
     MacMode,
@@ -63,6 +73,12 @@ class TestMacStep:
         with pytest.raises(AccumulatorOverflow):
             mac_step(FxPValue(127, FXP8), term, acc)
 
+    def test_add_past_the_width_overflows(self):
+        assert Accumulator(30, 6, FXP4).add(1).raw == 31
+        for raw, delta in ((30, 2), (-30, -3), (0, 1 << 40)):
+            with pytest.raises(AccumulatorOverflow):
+                Accumulator(raw, 6, FXP4).add(delta)
+
     @given(st.integers(-128, 127), st.integers(-127, 127), st.integers(1, 7))
     def test_step_composition_matches_multiply(self, x_raw, w_raw, t):
         x, w = FxPValue(x_raw, FXP8), FxPValue(w_raw, FXP8)
@@ -114,6 +130,24 @@ class TestDotProduct:
         with pytest.raises(DomainError):
             dot_product(_vals(FXP8, [1]), _vals(FXP8, [1]), MacMode.FXP4_SIMD,
                         FxPValue(0, FXP4))
+
+    def test_an_equal_format_passes_and_a_different_one_is_rejected(self):
+        twin = FxPFormat(8, 7)
+        assert twin is not FXP8 and twin == FXP8
+        xs, ws, bias = [100, -3, 127], [45, -77, 1], 5
+        want, _ = dot_product(_vals(FXP8, xs), _vals(FXP8, ws), MacMode.FXP8, FxPValue(bias, FXP8))
+        got, _ = dot_product(_vals(twin, xs), _vals(FXP8, ws), MacMode.FXP8, FxPValue(bias, twin))
+        assert got == want
+        for x, w in zip(xs, ws):
+            assert (potq_multiply(FxPValue(x, twin), FxPValue(w, FXP8), 5)
+                    == potq_multiply(FxPValue(x, FXP8), FxPValue(w, FXP8), 5))
+        other = FxPFormat(8, 6)
+        with pytest.raises(DomainError):
+            potq_multiply(FxPValue(100, FXP8), FxPValue(45, other), 5)
+        with pytest.raises(DomainError):
+            dot_product(_vals(FXP8, xs), _vals(other, ws), MacMode.FXP8, FxPValue(bias, FXP8))
+        with pytest.raises(DomainError):
+            dot_product(_vals(FXP8, xs), _vals(FXP8, ws), MacMode.FXP8, FxPValue(bias, other))
 
     def test_lane_independence(self):
         rng = np.random.default_rng(11)

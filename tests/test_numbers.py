@@ -1,10 +1,11 @@
 """One table over every public name that takes a caller's number. Each row
 names the rule its value meets, `trea.errors.integer` (a Python or NumPy
 int, never a bool) or `trea.errors.real` (a finite real, never a bool), and
-the error class a value that breaks it raises. Every row is fed the same
+the error class a value that breaks it raises; a field that takes a MAC mode
+has the rule "mode", which no number meets. Every row is fed the same
 suspects: only a `TreaError` may escape, a value the rule rejects raises the
 row's class, and a rejected field keeps its old value. A NumPy scalar is
-accepted and comes back as the Python number."""
+accepted by a numeric rule and comes back as the Python number."""
 
 import math
 from types import SimpleNamespace
@@ -28,7 +29,11 @@ REJECTS = {
     "real": set(SUSPECTS) - {"2.5"},
     # a budget: +-inf admit every drop or none
     "budget": set(SUSPECTS) - {"2.5", "inf", "400 digits"},
+    # a MAC mode: no number is one
+    "mode": set(SUSPECTS),
 }
+# the NumPy scalar each numeric rule accepts
+NUMPY = {"integer": np.int64, "real": np.float64, "budget": np.float64}
 
 _PLATFORM = dict(luts_used=10, luts_total=100, ffs_used=10, ffs_total=100,
                  p_avg_watts=1.5, f_clk_hz=1e6)
@@ -73,8 +78,14 @@ ROWS = [
     _row("term_table", "integer", DomainError, lambda v: fxp.term_table(FXP4, v).tobytes(), 2),
     _row("term_codes", "integer", DomainError,
          lambda v: fxp.term_codes(FXP4, v).value.tobytes(), 2),
+    _row("PoTTerm.sign", "integer", DomainError, lambda v: fxp.PoTTerm(v, 2).sign, -1),
+    _row("PoTTerm.shift", "integer", DomainError, lambda v: fxp.PoTTerm(1, v).shift, 2),
+    _row("trunc_shift", "integer", DomainError,
+         lambda v: fxp.trunc_shift(FxPValue(-64, FXP8), v).raw, 2),
     _row("error_bound", "integer", DomainError,
          lambda v: fxp.error_bound(FxPValue(64, FXP8), v, 7), 3),
+    _row("error_bound.frac_bits", "integer", DomainError,
+         lambda v: fxp.error_bound(FxPValue(64, FXP8), 3, v), 7),
     _row("SparsityMask.retained_per_window", "integer", DomainError,
          lambda v: net.SparsityMask(np.ones((2, 3), bool), v).retained_per_window, 3),
     _row("LayerDescriptor.stride", "integer", DomainError, _assigned(_layer, "stride"), 2),
@@ -118,6 +129,11 @@ ROWS = [
     _row("retained_count", "integer", DomainError, lambda v: sharp.retained_count(v, 3), 3),
     _row("assign_precision.epsilon", "budget", DomainError,
          lambda v: sharp.assign_precision(_model(), lambda m: 1.0, v).epsilon, 0.01),
+    _row("PrecisionAssignment.modes", "mode", DomainError,
+         lambda v: sharp.PrecisionAssignment((MacMode.FXP8, v), 0.01).modes,
+         MacMode.FXP4_SIMD),
+    _row("PrecisionAssignment.epsilon", "budget", DomainError,
+         lambda v: sharp.PrecisionAssignment((MacMode.FXP8,), v).epsilon, 0.01),
 ]
 
 
@@ -134,8 +150,8 @@ def test_only_a_trea_error_escapes(row, suspect):
             pass
 
 
-@pytest.mark.parametrize("row", ROWS)
+@pytest.mark.parametrize("row", [row for row in ROWS if row.values[0].rule in NUMPY])
 def test_numpy_scalars_come_back_as_python_numbers(row):
     want = row.call(row.good)
-    got = row.call((np.int64 if row.rule == "integer" else np.float64)(row.good))
+    got = row.call(NUMPY[row.rule](row.good))
     assert type(got) is type(want) and got == want
