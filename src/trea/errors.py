@@ -67,6 +67,8 @@ def real(value, what, error=DomainError) -> float:
     """`value` as a Python float, raising `error` naming `what` unless it is
     a finite real number and not a bool; one past float's range is not
     finite."""
+    if type(value) is float and math.isfinite(value):   # a plain float skips the ABC checks
+        return value
     try:
         finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
                   and math.isfinite(value))

@@ -70,10 +70,16 @@ class FxPFormat:
             raise DomainError(
                 f"frac_bits must be in 1..{self.total_bits - 1}, got {self.frac_bits}"
             )
+        # the fields' hash, once: the generated one builds their tuple per
+        # call, and every `_code` lookup hashes its format
+        object.__setattr__(self, "_hash", hash((self.total_bits, self.frac_bits)))
+
+    def __hash__(self):
+        return self._hash
 
     # Computed once per instance: cached_property stores into the instance
-    # dict, which a frozen dataclass without slots allows; eq, hash and repr
-    # read only the fields.
+    # dict, which a frozen dataclass without slots allows; eq and repr read
+    # only the fields, and the hash is theirs.
     @functools.cached_property
     def raw_min(self) -> int:
         return -(1 << (self.total_bits - 1))

@@ -24,14 +24,29 @@ input. `_backward` walks the layers in reverse through the inverses:
 `_unfold` undoes `_fold`, and `_col2im` undoes a conv layer's `_layer_rows`
 through the same patch index. `_pads` is the one padding rule.
 
-The quantized accumulate is one shift-plane kernel, `_accumulate`, and its
-planes, which `_build_quant_layer` gathers from `fxp.term_codes`, are the
-only encoding of a layer's weights. Each descriptor keeps its last prepared
-layer (`_prepare_layer`), keyed on the identity of its sealed arrays and
-mask and on its scalars, so nothing needs invalidating, with a table of the
-boundary chain over every accumulator code the layer can reach; inference
-reads that table. QAT's passes, whose weights and mn_scale change every
-step, build each layer afresh and run the chain on their accumulators.
+The quantized accumulate is one shift-plane kernel, `_kernel`, which runs
+once `_check_overflow` has passed its rows (in `_accumulate` on QAT's passes,
+in `_boundary_rows` on inference), and its planes, which
+`_build_quant_layer` gathers from `fxp.term_codes`, are the only encoding of
+a layer's weights. Each descriptor keeps its last prepared layer
+(`_prepare_layer`), keyed on the identity of its sealed arrays and mask and
+on its scalars, so nothing needs invalidating, with a table of the boundary
+chain over every accumulator code the layer can reach; inference reads that
+table. QAT's passes, whose weights and mn_scale change every step, build
+each layer afresh and run the chain on their accumulators.
+
+Inference holds no training caches and works in pieces of at most
+_PIECE_OPERANDS operands wherever a piece cannot move a bit. The float pass
+makes each layer's activations in its matmul's output, in place, with the
+IEEE operations of the training pass in the same order, and runs conv
+layers a block of frames at a time into the next layer's input: a stacked
+(B, P, K) @ (K, out) matmul is one GEMM per frame, so its bits do not depend
+on the block. A dense layer's (B, K) @ (K, out) is one GEMM whose rounding
+depends on B (blocks of 1 frame changed 84,751 of the 98,304 hidden
+pre-activations of 2048 frames on the README model), so it stays one
+whole-batch matmul. The integer pass builds a layer's whole int8 rows and checks them
+for overflow at once, then runs the kernel and the table read a chunk of
+rows at a time; its sums are exact, so any chunking gives the same codes.
 
 Each descriptor field has one rule, in its class's `__setattr__` (a frozen
 `SparsityMask` checks in `__post_init__`), which construction and every
@@ -479,28 +494,33 @@ def build_network(arch, input_shape, seed: int, name: str = "net") -> NetworkDes
     """Seeded random initialization of an architecture spec (list of
     (kind, params) pairs). Each layer's input shape is the previous one's
     output from `_layer_shapes`, so an arch that misfits its input raises
-    `ShapeMismatch` at the first layer that does."""
+    `ShapeMismatch` at the first layer that does. Its counts (out_channels,
+    each kernel size, out_features) are integers >= 1, and a layer's weights
+    must fit one array (`ShapeMismatch`)."""
     rng = np.random.default_rng(integer(seed, "seed", 0))
     layers = []
     shape = input_shape = _input_shape(input_shape)
     for kind, params in arch:
         if kind == "conv2d":
-            c = shape[0]
-            kh, kw = params["kernel"]
-            oc = params["out_channels"]
-            w = rng.normal(0.0, 1.0 / math.sqrt(c * kh * kw), size=(oc, c, kh, kw))
-            layer = LayerDescriptor(
-                kind, params["activation"], MacMode.FXP8, w, np.zeros(oc),
-                stride=params.get("stride", 1), padding=params.get("padding", "valid"),
-            )
+            kernel = (integer(k, "kernel size", 1, ShapeMismatch) for k in params["kernel"])
+            wshape = (integer(params["out_channels"], "out_channels", 1, ShapeMismatch),
+                      shape[0], *kernel)
         elif kind == "dense":
-            feats = math.prod(shape)
-            of = params["out_features"]
-            w = rng.normal(0.0, 1.0 / math.sqrt(feats), size=(of, feats))
-            layer = LayerDescriptor(kind, params["activation"], MacMode.FXP8,
-                                    w, np.zeros(of))
+            wshape = (integer(params["out_features"], "out_features", 1, ShapeMismatch),
+                      math.prod(shape))
         else:
             raise ShapeMismatch(f"unknown layer kind {kind!r}")
+        if math.prod(wshape) > np.iinfo(np.intp).max // 8:   # float64 bytes numpy can count
+            raise ShapeMismatch(f"layer {len(layers)} has more weights than one array holds")
+        w = rng.normal(0.0, 1.0 / math.sqrt(math.prod(wshape[1:])), size=wshape)
+        if kind == "conv2d":
+            layer = LayerDescriptor(
+                kind, params["activation"], MacMode.FXP8, w, np.zeros(wshape[0]),
+                stride=params.get("stride", 1), padding=params.get("padding", "valid"),
+            )
+        else:
+            layer = LayerDescriptor(kind, params["activation"], MacMode.FXP8,
+                                    w, np.zeros(wshape[0]))
         layers.append(layer)
         shape = _layer_shapes(input_shape, layers)[-1]   # raises at a misfit
     model = NetworkDescriptor(name=name, input_shape=input_shape,
@@ -565,13 +585,19 @@ def _layer_rows(layer: LayerDescriptor, act):
         if math.prod(act.shape[1:]) != k:
             raise ShapeMismatch(f"dense layer expects {k} features, got {act.shape[1:]}")
         return act.reshape(len(act), k), None
+    _check_conv_input(layer, act)
+    cols, ho, wo = _im2col(act, *hw, layer.stride, layer.padding)
+    return cols, (ho, wo)
+
+
+def _check_conv_input(layer: LayerDescriptor, act):
+    """Raise `ShapeMismatch` unless the conv layer fits the (B, C, H, W) `act`."""
+    _, k, *hw = layer.weights.shape
     # "same" pads any input to at least one window
     if act.ndim != 4 or act.shape[1] != k or (layer.padding == "valid" and (
             act.shape[2] < hw[0] or act.shape[3] < hw[1])):
         raise ShapeMismatch(f"conv2d layer with {k} input channels and a {hw} kernel "
                             f"does not fit input {act.shape[1:]}")
-    cols, ho, wo = _im2col(act, *hw, layer.stride, layer.padding)
-    return cols, (ho, wo)
 
 
 def _fold(out, layer: LayerDescriptor, hw):
@@ -588,12 +614,18 @@ def _unfold(d, z_shape):
     return d.reshape(z_shape[0], z_shape[-1], -1).transpose(0, 2, 1).reshape(z_shape)
 
 
-def _af_float(sel: AfSelect, z):
+def _af_float(sel: AfSelect, z, out=None):
+    """The activation of `z`, written to `out` if given (which may be `z`).
+    Sigmoid is 1 / (1 + exp(-z)) as four element-wise steps on one array,
+    so both passes round every element alike."""
     if sel is AfSelect.RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if sel is AfSelect.SIGMOID:
-        return 1.0 / (1.0 + np.exp(-z))
-    return np.tanh(z)
+        e = np.negative(z, out=out)
+        np.exp(e, out=e)
+        e += 1.0
+        return np.divide(1.0, e, out=e)
+    return np.tanh(z, out=out)
 
 
 def _af_deriv_from_output(sel: AfSelect, a):
@@ -618,9 +650,20 @@ def _check_input(model, x):
     return x, single
 
 
-def _float_pass(model: NetworkDescriptor, x):
-    """Forward with per-layer caches for backprop. Returns (logits of last
-    layer, scores, caches)."""
+def _float_pass(model: NetworkDescriptor, x, with_cache: bool = False):
+    """(last layer's pre-activations, scores, caches for backprop). Without
+    `with_cache` the pre-activations and caches are None, and the pass keeps
+    no layer's rows past its matmul and runs in pieces (see the module
+    docstring)."""
+    if not with_cache:
+        act = x
+        for layer in model.layers:
+            wmat_t = layer.masked_weights().reshape(layer.out_channels, -1).T
+            if layer.kind == "dense":
+                act = _float_rows(layer, _layer_rows(layer, act)[0], wmat_t)
+            else:
+                act = _float_conv(layer, act, wmat_t)
+        return None, act, None
     caches = []
     act = x
     for layer in model.layers:
@@ -633,9 +676,39 @@ def _float_pass(model: NetworkDescriptor, x):
     return z, act, caches
 
 
+def _float_rows(layer: LayerDescriptor, rows, wmat_t):
+    """The layer's activations of operand rows, made in the matmul's output:
+    the IEEE operations of `_af_float(sel, rows @ wmat_t + bias)`, in order."""
+    z = rows @ wmat_t
+    z += layer.bias
+    return _af_float(layer.activation, z, out=z)
+
+
+def _float_conv(layer: LayerDescriptor, act, wmat_t):
+    """The conv layer's folded activations of `act`, a block of frames at a
+    time: the patches of at most _PIECE_OPERANDS operands (one frame if it
+    has more) live at once, and each block's output goes straight into the
+    next layer's input. A stacked matmul is one GEMM per frame, so the bits
+    do not depend on the block."""
+    _check_conv_input(layer, act)
+    kh, kw = layer.weights.shape[2:]
+    ho, wo = _conv_out_hw(*act.shape[2:], kh, kw, layer.stride, layer.padding)
+    step = max(1, _PIECE_OPERANDS // (ho * wo * len(wmat_t)))
+    out = np.empty((len(act), layer.out_channels, ho, wo))
+    for lo in range(0, len(act), step):
+        cols, _, _ = _im2col(act[lo:lo + step], kh, kw, layer.stride, layer.padding)
+        a = _float_rows(layer, cols, wmat_t)
+        block = out[lo:lo + step].reshape(len(a), layer.out_channels, ho * wo)
+        block[...] = a.transpose(0, 2, 1)   # `_fold`, into a view of `out`
+    return out
+
+
 def forward_float(model: NetworkDescriptor, x):
     """Double-precision reference forward pass; returns post-activation
-    scores of the last layer (pre-softmax)."""
+    scores of the last layer (pre-softmax). It holds a conv layer's float64
+    outputs and the next layer's, 2.0 KB a frame on the README model
+    (tracemalloc), plus one block of conv patches (about 1 MB); see the
+    module docstring."""
     xb, single = _check_input(model, x)
     _, scores, _ = _float_pass(model, xb)
     return scores[0] if single else scores
@@ -718,7 +791,7 @@ def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
     model = build_network(arch, input_shape, seed, name=name)
     _check_input(model, dataset.train_x)
     for x, y in _minibatches(dataset, epochs, lr, seed):
-        logits, _, caches = _float_pass(model, x)
+        logits, _, caches = _float_pass(model, x, with_cache=True)
         _backward(model, caches, logits, y, lr)
     for layer in model.layers:
         layer.refresh_mn_scale()
@@ -852,13 +925,44 @@ def _accumulate(q: _QuantLayer, x_raw_mat):
     """
     x = x_raw_mat.reshape(-1, x_raw_mat.shape[-1])
     _check_overflow(q, x)
+    return _kernel(q, x).reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
+
+
+def _kernel(q: _QuantLayer, x):
+    """`_accumulate`'s shift-plane sums of the (N, K) rows `x`, unchecked:
+    the caller has run `_check_overflow` over them."""
     dtype = q.planes[0][1].dtype if q.planes else np.float64
     total = np.zeros((x.shape[0], q.out_channels), dtype=dtype)
     for m, c in q.planes:
         total += (x >> m).astype(dtype) @ c.T
     acc = total.astype(np.int64)
     acc += q.bias_raw
-    return acc.reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
+    return acc
+
+
+def _boundary_rows(q: _QuantLayer, x_raw_mat):
+    """The prepared layer's int8 boundary codes (..., out) of the operand
+    rows x_raw_mat (..., K): `_accumulate`, then the table read. The
+    overflow check runs once over every row, so it stops at the same
+    (output, operand); the kernel and the table then run on chunks of at
+    most _PIECE_OPERANDS codes (one row if it has more), and rows that fit
+    in one chunk run as one, with no copy."""
+    x = x_raw_mat.reshape(-1, x_raw_mat.shape[-1])
+    _check_overflow(q, x)
+
+    def codes(rows):
+        acc = _kernel(q, rows)
+        acc += q.acc_bound                 # in place: the table index
+        return q.boundary[acc]
+
+    step = max(1, _PIECE_OPERANDS // x.shape[1])
+    if len(x) <= step:
+        out = codes(x)
+    else:
+        out = np.empty((len(x), q.out_channels), dtype=np.int8)
+        for lo in range(0, len(x), step):
+            out[lo:lo + step] = codes(x[lo:lo + step])
+    return out.reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
 
 
 def _check_overflow(q: _QuantLayer, x):
@@ -912,6 +1016,11 @@ def _boundary_chain(layer: LayerDescriptor, acc):
 # codes stayed under the layer build's own peak and took ~0.1 s.
 _CHAIN_CHUNK = 1 << 14
 
+# Operands (rows x K) of one piece of an inference pass: a block of conv
+# patches on the float pass, a chunk of rows through the integer kernel. A
+# float conv block is this divided by P x K, 291 frames on the README model.
+_PIECE_OPERANDS = 1 << 16
+
 
 def _boundary_table(layer: LayerDescriptor, r: int):
     """The read-only int8 boundary codes of accumulators -r..r, the code of
@@ -946,9 +1055,8 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         else:
             x_raw = np.take(_requant_table(fmt), act_raw.view(np.uint8))
         cols, hw = _layer_rows(layer, x_raw)
-        acc = _accumulate(q, cols)
         if with_cache:
-            pre_true, bound_raw = _boundary_chain(layer, acc)
+            pre_true, bound_raw = _boundary_chain(layer, _accumulate(q, cols))
             # the PoT-approximated weights: each code's greedy value, exact
             approx = term_codes(fmt, layer.precision.terms).value.take(codes)
             caches.append(dict(
@@ -960,8 +1068,7 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
             ))
             bound_raw = bound_raw.astype(np.int8)
         else:
-            acc += q.acc_bound                 # in place: the table index
-            bound_raw = q.boundary[acc]
+            bound_raw = _boundary_rows(q, cols)
         act_raw = _fold(bound_raw, layer, hw)
     scores = act_raw.astype(np.float64) * BOUNDARY_FMT.lsb
     if single:
@@ -977,6 +1084,12 @@ def forward_quant(model: NetworkDescriptor, x):
     masked weights contribute nothing, outputs are rescaled by mn_scale and
     pushed through the CORDIC activation unit, then requantized at the layer
     boundary; that boundary is read from each prepared layer's table.
+
+    It holds each layer's int8 operand rows and codes; the kernel's float
+    planes and int64 accumulators live one chunk at a time. About 1.4 KB a
+    frame on the bench's mixed README model (tracemalloc), most of it the
+    float64 and index temporaries of the model input's encode and first
+    requantization.
     """
     _, scores, _ = _quant_pass(model, x)
     return scores

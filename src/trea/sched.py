@@ -126,24 +126,28 @@ def _per_output_mac_cycles(layer) -> int:
     return cycles
 
 
+# The most tiles one layer's plan may hold: each is an entry of the plan and
+# an event of the trace.
+_MAX_TILES = 1 << 24
+
+
 def plan_layer(layer, cfg: ArrayConfig, n_outputs: int,
                layer_index: int = 0) -> TileSchedule:
     """Partition a layer's outputs into tiles of at most mac_units.
 
     Each unit computes one output's dot product; bias preload is free, so a
-    tile costs the per-output MAC cycles.
+    tile costs the per-output MAC cycles. The output count is an integer >= 1
+    that fills at most _MAX_TILES tiles (`DomainError`).
     """
+    n_outputs = integer(n_outputs, "output count")
     if n_outputs < 1:
         raise DomainError(f"layer {layer_index} has no outputs")
-    sizes = []
-    left = n_outputs
-    while left > 0:
-        take = min(cfg.mac_units, left)
-        sizes.append(take)
-        left -= take
+    full, rest = divmod(n_outputs, cfg.mac_units)
+    if full + (rest > 0) > _MAX_TILES:
+        raise DomainError(f"layer {layer_index} needs more than {_MAX_TILES} tiles")
     return TileSchedule(
         layer_index=layer_index,
-        tile_sizes=tuple(sizes),
+        tile_sizes=(cfg.mac_units,) * full + ((rest,) if rest else ()),
         mac_cycles_per_tile=_per_output_mac_cycles(layer),
         n_outputs=n_outputs,
     )

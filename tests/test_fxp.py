@@ -326,6 +326,15 @@ class TestPotqMultiply:
                 fxp._code(200, FXP8)
         assert fxp._code.cache_info().currsize == size
 
+    def test_an_equal_format_hits_the_value_memo(self):
+        # the format's hash is computed once, and equal formats hash alike
+        fmt = FxPFormat(8, 7)
+        assert fmt is not FXP8 and hash(fmt) == hash(FXP8) == hash((8, 7))
+        value = fxp._code(45, FXP8)
+        hits = fxp._code.cache_info().hits
+        assert fxp._code(45, fmt) is value
+        assert fxp._code.cache_info().hits == hits + 1
+
 
 class TestErrorBound:
     def test_t_equals_f(self):

@@ -542,16 +542,55 @@ def test_operands_reach_the_kernel_as_int8(seed, monkeypatch):
     # pass and on QAT's
     model, xs = _chain_case(seed)
     dtypes = []
-    kernel = net._accumulate
+    kernel = net._kernel   # the shift-plane body both passes run
 
-    def spy(q, cols):
-        dtypes.append(cols.dtype)
-        return kernel(q, cols)
+    def spy(q, rows):
+        dtypes.append(rows.dtype)
+        return kernel(q, rows)
 
-    monkeypatch.setattr(net, "_accumulate", spy)
+    monkeypatch.setattr(net, "_kernel", spy)
     net._quant_pass(model, xs)
     net._quant_pass(model, xs, with_cache=True)
     assert dtypes == [np.dtype(np.int8)] * (2 * len(model.layers))
+
+
+@pytest.mark.parametrize("mode", list(MacMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", range(4))
+def test_an_overflow_in_the_last_chunk_stops_where_one_piece_does(seed, mode):
+    # the inference pass checks every row, first output first, before its
+    # chunked kernel runs: inflated biases that the last row drives out of
+    # range at output 0, and the second row at output 2, raise what
+    # `_accumulate` over all rows raises, output 0's overflow
+    rng = np.random.default_rng(6000 + seed)
+    k = int(rng.integers(200, 400))
+    half = k // 2
+    w = rng.normal(size=(3, k))
+    w[0, :half] = 0.0    # outputs 0 and 2 read disjoint operands
+    w[2, half:] = 0.0
+    layer = net.LayerDescriptor("dense", AfSelect.TANH, mode, w, np.full(3, 0.01))
+    layer.refresh_mn_scale()
+    q = net._prepare_layer(layer)
+    down = _extreme_rows(layer)
+    drop = q.bias_raw - np.diag(net._accumulate(q, down))
+    one = 1 << mode.fmt.frac_bits
+    raw = np.rint(layer.bias / layer.mn_scale * one)
+    raw[[0, 2]] = -(q.acc_limit - drop[[0, 2]] // 2)   # in range until those rows
+    layer.bias = raw * layer.mn_scale / one
+    q = net._prepare_layer(layer)
+    rows = np.zeros((3 * (net._PIECE_OPERANDS // k) + 5, k), dtype=np.int8)
+    rows[1, :half] = down[2, :half]
+    rows[-1, half:] = down[0, half:]
+    for kept, o in ((rows, 0), (rows[:-1], 2)):
+        with pytest.raises(AccumulatorOverflow) as want:
+            net._accumulate(q, kept)
+        assert f"(output {o}, operand " in str(want.value) and "bias" not in str(want.value)
+        with pytest.raises(AccumulatorOverflow) as got:
+            net._boundary_rows(q, kept)
+        assert str(got.value) == str(want.value)
+    # without those rows every chunk passes and reads the table
+    rows[1] = 0
+    np.testing.assert_array_equal(net._boundary_rows(q, rows[:-1]),
+                                  q.boundary[net._accumulate(q, rows[:-1]) + q.acc_bound])
 
 
 def _accumulate_outcome(q, x):

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -418,6 +419,106 @@ def test_evaluate_scores_one_frame_as_a_batch_of_one(desk_model, desk_data, eval
     assert evaluate(desk_model, x, y) == want == evaluate(desk_model, x[None], y)
     with pytest.raises(ShapeMismatch, match="labels"):
         evaluate(desk_model, desk_data.test_x[:3], y)
+
+
+def _paper_shaped(seed, frames=600):
+    """A SHARP-pruned 5x5 conv, a dense layer wider than 100 and an output
+    layer at mixed precisions, and `frames` frames: enough that the float
+    pass runs the conv in many frame blocks and the integer kernel runs
+    every layer's rows in more than one chunk."""
+    rng = np.random.default_rng(seed)
+    arch = [("conv2d", dict(out_channels=4, kernel=(5, 5), activation=AfSelect.TANH)),
+            ("dense", dict(out_features=120, activation=AfSelect.SIGMOID)),
+            ("dense", dict(out_features=3, activation=AfSelect.RELU))]
+    model = net.build_network(arch, (1, 16, 16), seed=int(rng.integers(1 << 30)))
+    conv = model.layers[0]
+    conv.mask = sharp.prune_conv_weights(conv.weights)
+    conv.weights = conv.weights * conv.mask.flags
+    for layer, mode in zip(model.layers, (MacMode.FXP4_SIMD, MacMode.FXP8, MacMode.FXP4_SIMD)):
+        layer.weights = layer.weights * 0.5
+        layer.bias = rng.normal(0.0, 0.05, size=layer.bias.shape)
+        layer.precision = mode
+        layer.refresh_mn_scale()
+    # conv patches (P x K) and each layer's operand rows (frames x P, K)
+    pieces = [(frames, 144 * 25), (frames * 144, 25), (frames, 576), (frames, 120)]
+    assert all(n > max(1, net._PIECE_OPERANDS // k) for n, k in pieces)
+    return model, rng.uniform(-0.9, 0.9, size=(frames, 1, 16, 16))
+
+
+def _one_piece_quant(model, x):
+    """The inference pass with each layer's rows through `_accumulate` and
+    the boundary table in one piece."""
+    act = net._sat_encode_raw(x, net.BOUNDARY_FMT, np.int8)
+    for layer in model.layers:
+        q = net._prepare_layer(layer)
+        x_raw = np.take(net._requant_table(layer.precision.fmt), act.view(np.uint8))
+        cols, hw = net._layer_rows(layer, x_raw)
+        act = net._fold(q.boundary[net._accumulate(q, cols) + q.acc_bound], layer, hw)
+    return act * net.BOUNDARY_FMT.lsb
+
+
+def _random_batch(seed):
+    """A `random_topology` model and 1 to 300 frames, enough for several
+    conv blocks and kernel chunks on some seeds."""
+    rng = np.random.default_rng(8000 + seed)
+    model, x = random_topology(rng)
+    return model, rng.uniform(-0.9, 0.9, size=(int(rng.integers(1, 301)),) + x.shape)
+
+
+class TestBoundedInference:
+    """Both inference passes run in pieces and hold no training caches; the
+    pieces move no bit."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_float_pass_is_the_training_pass(self, seed):
+        model, xs = _paper_shaped(seed) if seed < 2 else _random_batch(seed)
+        want = net._float_pass(model, xs, with_cache=True)[1]
+        got = net.forward_float(model, xs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        one = net.forward_float(model, xs[-1])
+        assert one.tobytes() == net._float_pass(model, xs[-1:], with_cache=True)[1][0].tobytes()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_chunked_quant_pass_is_the_one_piece_pass(self, seed):
+        model, xs = _paper_shaped(seed) if seed < 2 else _random_batch(seed)
+        want = _one_piece_quant(model, xs)
+        got = net.forward_quant(model, xs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(net.forward_quant(model, xs[0]), want[0])
+
+    @pytest.mark.parametrize("sel", list(AfSelect), ids=lambda s: s.name.lower())
+    def test_activation_in_place_is_the_expression(self, sel):
+        # the in-place steps round as the textbook expressions do, which the
+        # float pass computed before it wrote into the matmul's output
+        z = np.random.default_rng(3).normal(0.0, 4.0, size=(64, 33))
+        z[0, :6] = (0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300)
+        want = {AfSelect.RELU: lambda: np.maximum(z, 0.0),
+                AfSelect.SIGMOID: lambda: 1.0 / (1.0 + np.exp(-z)),
+                AfSelect.TANH: lambda: np.tanh(z)}[sel]().tobytes()
+        assert net._af_float(sel, z).tobytes() == want
+        out = z.copy()
+        assert net._af_float(sel, out, out=out) is out and out.tobytes() == want
+
+    @pytest.mark.parametrize("forward, bound", [(net.forward_float, 2500),
+                                                (net.forward_quant, 1500)],
+                             ids=["float", "quant"])
+    def test_memory_per_frame(self, desk_model, forward, bound):
+        # tracemalloc's peak over one call, README model at the bench's mixed
+        # precisions with SHARP masks; the per-frame slope drops the fixed part
+        modes = (MacMode.FXP4_SIMD, MacMode.FXP8, MacMode.FXP4_SIMD)
+        model = sharp.prune_model(sharp.apply_assignment(
+            desk_model, sharp.PrecisionAssignment(modes, 0.0)))
+        x = np.random.default_rng(5).uniform(0.0, 0.99, size=(4096, *model.input_shape))
+        forward(model, x[:16])   # prepares the layers
+        peaks = []
+        for n in (1024, 4096):
+            tracemalloc.start()
+            try:
+                forward(model, x[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 3072 <= bound
 
 
 class TestTrainReference:
@@ -1056,11 +1157,11 @@ class TestBackward:
         y = np.array([0, 1, 2, 1])
 
         def loss(m):
-            logits, _, caches = net._float_pass(m, x)
+            logits, _, caches = net._float_pass(m, x, with_cache=True)
             return net._backward(m, caches, logits, y, 0.0)
 
         stepped = model.copy()
-        logits, _, caches = net._float_pass(stepped, x)
+        logits, _, caches = net._float_pass(stepped, x, with_cache=True)
         net._backward(stepped, caches, logits, y, 1.0)   # w -= 1.0 * grad
         h = 1e-5
         for i, (layer, after) in enumerate(zip(model.layers, stepped.layers)):

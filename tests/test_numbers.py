@@ -50,6 +50,14 @@ def _model():
     return net.build_network(_DENSE, (1, 1, 3), seed=1)
 
 
+def _built(out_channels=2, kernel=(3, 3), out_features=2, input_shape=(1, 3, 3)):
+    """The model `build_network` makes of a "same" conv then a dense layer."""
+    arch = [("conv2d", dict(out_channels=out_channels, kernel=kernel,
+                            activation=AfSelect.TANH, padding="same")),
+            ("dense", dict(out_features=out_features, activation=AfSelect.TANH))]
+    return net.build_network(arch, input_shape, seed=1)
+
+
 def _assigned(make, name, read=lambda value: value):
     """Assign the value to field `name` of a fresh `make()`, check that a
     rejected one is not stored, and read the field back through `read`."""
@@ -101,6 +109,15 @@ ROWS = [
          lambda v: next(net._minibatches(_DATA, 1, v, 0))[1].tolist(), 0.05),
     _row("build_network.seed", "integer", DomainError,
          lambda v: net.build_network(_DENSE, (1, 1, 3), v).seed, 3),
+    _row("build_network.out_channels", "integer", ShapeMismatch,
+         lambda v: _built(out_channels=v).layers[0].out_channels, 2),
+    _row("build_network.kernel", "integer", ShapeMismatch,
+         lambda v: _built(kernel=(v, 3)).layers[0].weights.shape[2], 3),
+    _row("build_network.out_features", "integer", ShapeMismatch,
+         lambda v: _built(out_features=v).layers[1].out_channels, 2),
+    # a width of 400 digits gives the dense layer more weights than an array holds
+    _row("build_network.input_shape", "integer", ShapeMismatch,
+         lambda v: _built(input_shape=(1, 3, v)).input_shape[2], 3),
     _row("AfSelect.from_code", "integer", InvalidSelect, AfSelect.from_code, 2),
     _row("piso_latency", "integer", DomainError, naf.piso_latency, 5),
     _row("kernel_cycles", "integer", DomainError,
@@ -112,6 +129,8 @@ ROWS = [
          lambda v: mac.conventional_accumulator_width(v, 9), 8),
     _row("conventional_accumulator_width.k", "integer", DomainError,
          lambda v: mac.conventional_accumulator_width(8, v), 9),
+    _row("plan_layer.n_outputs", "integer", DomainError,
+         lambda v: sched.plan_layer(_model().layers[0], sched.ArrayConfig(), v).n_outputs, 250),
     _row("ArrayConfig.mac_units", "integer", DomainError,
          lambda v: sched.ArrayConfig(mac_units=v).mac_units, 100),
     _row("ArrayConfig.f_clk", "real", DomainError, lambda v: sched.ArrayConfig(f_clk=v).f_clk,
