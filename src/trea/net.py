@@ -22,7 +22,10 @@ dense), one dot product per row and output channel gives the
 pre-activations, and `_fold` lays the activations out as the next layer's
 input. `_backward` walks the layers in reverse through the inverses:
 `_unfold` undoes `_fold`, and `_col2im` undoes a conv layer's `_layer_rows`
-through the same patch index. `_pads` is the one padding rule.
+through the same patch index. `_pads` is the one padding rule, and
+`_layer_out_shape` the one shape rule: a layer's output shape for one
+frame's input shape, or `ShapeMismatch` at a misfit, which the network's
+shape chain (`_layer_shapes`), both passes and `build_network` read.
 
 The quantized accumulate is one shift-plane kernel, `_kernel`, which runs
 once `_check_overflow` has passed its rows (in `_accumulate` on QAT's passes,
@@ -66,6 +69,7 @@ import functools
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -328,28 +332,37 @@ def _input_shape(value) -> tuple:
 def _layer_shapes(input_shape, layers):
     """Each layer's output shape from `input_shape` on; raises `ShapeMismatch` at a misfit."""
     shapes = []
-    cur = input_shape
     for idx, layer in enumerate(layers):
-        if layer.kind == "conv2d":
-            if len(cur) != 3:
-                raise ShapeMismatch(f"layer {idx}: conv2d after a dense layer")
-            c, h, w = cur
-            if layer.weights.shape[1] != c:
-                raise ShapeMismatch(f"layer {idx}: expects {layer.weights.shape[1]} input "
-                                    f"channels, got {c}")
-            kh, kw = layer.weights.shape[2:]
-            ho, wo = _conv_out_hw(h, w, kh, kw, layer.stride, layer.padding)
-            if ho < 1 or wo < 1:
-                raise ShapeMismatch(f"layer {idx}: kernel larger than input")
-            cur = (layer.out_channels, ho, wo)
-        else:
-            feats = math.prod(cur)
-            if layer.weights.shape[1] != feats:
-                raise ShapeMismatch(f"layer {idx}: expects {layer.weights.shape[1]} "
-                                    f"features, got {feats}")
-            cur = (layer.out_channels,)
-        shapes.append(cur)
+        input_shape = _layer_out_shape(layer, input_shape, f"layer {idx}: ")
+        shapes.append(input_shape)
     return shapes
+
+
+def _layer_out_shape(layer, in_shape, where=""):
+    """One frame's output shape from one frame's input shape `in_shape`:
+    (out,) for dense, (out, ho, wo) for conv. A misfit (conv after dense, a
+    wrong channel or feature count, a kernel larger than a "valid" input)
+    raises `ShapeMismatch`, its message prefixed by `where`. The window
+    counts are `_pads`' in closed form: "same" pads to ceil(n / stride)."""
+    shape = layer.weights.shape
+    if layer.kind == "dense":
+        if math.prod(in_shape) != shape[1]:
+            raise ShapeMismatch(f"{where}dense layer expects {shape[1]} features, "
+                                f"got {math.prod(in_shape)}")
+        return shape[:1]
+    if len(in_shape) != 3:
+        raise ShapeMismatch(f"{where}conv2d after a dense layer")
+    out, k, kh, kw = shape
+    c, h, w = in_shape
+    if c != k:
+        raise ShapeMismatch(f"{where}conv2d layer expects {k} input channels, got {c}")
+    s = layer.stride
+    if layer.padding == "same":
+        return out, -(-h // s), -(-w // s)
+    ho, wo = (h - kh) // s + 1, (w - kw) // s + 1
+    if ho < 1 or wo < 1:
+        raise ShapeMismatch(f"{where}conv2d kernel larger than input: {kh}x{kw} on {h}x{w}")
+    return out, ho, wo
 
 
 def _pads(size, k, stride, padding):
@@ -359,12 +372,6 @@ def _pads(size, k, stride, padding):
         return 0, 0
     total = max((-(-size // stride) - 1) * stride + k - size, 0)
     return total // 2, total - total // 2
-
-
-def _conv_out_hw(h, w, kh, kw, stride, padding):
-    """Windows along each axis of the padded input."""
-    return tuple((n + sum(_pads(n, k, stride, padding)) - k) // stride + 1
-                 for n, k in ((h, kh), (w, kw)))
 
 
 # --------------------------------------------------------------------------
@@ -490,39 +497,67 @@ def desk_arch(classes: int):
     ]
 
 
+# the keys each kind of arch entry must give; stride and padding default
+_SPEC_KEYS = {"conv2d": ("out_channels", "kernel", "activation"),
+              "dense": ("out_features", "activation")}
+
+
+def _arch_entry(idx, entry):
+    """Entry `idx` of an arch spec as (kind, params), or `ShapeMismatch`
+    naming the entry or the key at fault."""
+    try:
+        kind, params = entry
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"layer {idx}: arch entry {entry!r} is not a "
+                            f"(kind, params) pair") from None
+    if not (isinstance(kind, str) and kind in _SPEC_KEYS):
+        raise ShapeMismatch(f"layer {idx}: unknown layer kind {kind!r}")
+    if not isinstance(params, Mapping):
+        raise ShapeMismatch(f"layer {idx}: {kind} params must be a mapping, got {params!r}")
+    for key in _SPEC_KEYS[kind]:
+        if key not in params:
+            raise ShapeMismatch(f"layer {idx}: {kind} params have no {key!r}")
+    return kind, params
+
+
 def build_network(arch, input_shape, seed: int, name: str = "net") -> NetworkDescriptor:
     """Seeded random initialization of an architecture spec (list of
     (kind, params) pairs). Each layer's input shape is the previous one's
-    output from `_layer_shapes`, so an arch that misfits its input raises
-    `ShapeMismatch` at the first layer that does. Its counts (out_channels,
-    each kernel size, out_features) are integers >= 1, and a layer's weights
-    must fit one array (`ShapeMismatch`)."""
+    output from `_layer_out_shape`, so an arch that misfits its input raises
+    `ShapeMismatch` at the first layer that does. An arch that is not a
+    sequence, an entry that is not a pair, params that are not a mapping or
+    lack a key (`_SPEC_KEYS`), and a kernel that is not a (k_h, k_w) pair
+    raise `ShapeMismatch`. Its counts (out_channels, each kernel size,
+    out_features) are integers >= 1, and a layer's weights must fit one
+    array (`ShapeMismatch`)."""
     rng = np.random.default_rng(integer(seed, "seed", 0))
     layers = []
     shape = input_shape = _input_shape(input_shape)
-    for kind, params in arch:
+    try:
+        entries = list(arch)
+    except TypeError:
+        raise ShapeMismatch(f"arch must be a list of (kind, params) pairs, got {arch!r}") from None
+    for idx, entry in enumerate(entries):
+        kind, params = _arch_entry(idx, entry)
         if kind == "conv2d":
-            kernel = (integer(k, "kernel size", 1, ShapeMismatch) for k in params["kernel"])
+            try:
+                kh, kw = params["kernel"]
+            except (TypeError, ValueError):
+                raise ShapeMismatch(f"layer {idx}: kernel must be a (k_h, k_w) pair, "
+                                    f"got {params['kernel']!r}") from None
             wshape = (integer(params["out_channels"], "out_channels", 1, ShapeMismatch),
-                      shape[0], *kernel)
-        elif kind == "dense":
+                      shape[0], *(integer(k, "kernel size", 1, ShapeMismatch) for k in (kh, kw)))
+        else:
             wshape = (integer(params["out_features"], "out_features", 1, ShapeMismatch),
                       math.prod(shape))
-        else:
-            raise ShapeMismatch(f"unknown layer kind {kind!r}")
         if math.prod(wshape) > np.iinfo(np.intp).max // 8:   # float64 bytes numpy can count
-            raise ShapeMismatch(f"layer {len(layers)} has more weights than one array holds")
+            raise ShapeMismatch(f"layer {idx} has more weights than one array holds")
         w = rng.normal(0.0, 1.0 / math.sqrt(math.prod(wshape[1:])), size=wshape)
-        if kind == "conv2d":
-            layer = LayerDescriptor(
-                kind, params["activation"], MacMode.FXP8, w, np.zeros(wshape[0]),
-                stride=params.get("stride", 1), padding=params.get("padding", "valid"),
-            )
-        else:
-            layer = LayerDescriptor(kind, params["activation"], MacMode.FXP8,
-                                    w, np.zeros(wshape[0]))
+        layer = LayerDescriptor(kind, params["activation"], MacMode.FXP8, w, np.zeros(wshape[0]),
+                                stride=params.get("stride", 1),
+                                padding=params.get("padding", "valid"))
+        shape = _layer_out_shape(layer, shape, f"layer {idx}: ")
         layers.append(layer)
-        shape = _layer_shapes(input_shape, layers)[-1]   # raises at a misfit
     model = NetworkDescriptor(name=name, input_shape=input_shape,
                               layers=layers, seed=seed)
     for layer in model.layers:
@@ -580,24 +615,11 @@ def _layer_rows(layer: LayerDescriptor, act):
     (B, P, C*kh*kw) patches and (ho, wo) for conv, (B, K) flattened rows and
     None for dense. Every row is one dot product per output channel. An input
     the layer does not fit, as after an edit in place, raises `ShapeMismatch`."""
-    _, k, *hw = layer.weights.shape
+    out_shape = _layer_out_shape(layer, act.shape[1:])
     if layer.kind == "dense":
-        if math.prod(act.shape[1:]) != k:
-            raise ShapeMismatch(f"dense layer expects {k} features, got {act.shape[1:]}")
-        return act.reshape(len(act), k), None
-    _check_conv_input(layer, act)
-    cols, ho, wo = _im2col(act, *hw, layer.stride, layer.padding)
-    return cols, (ho, wo)
-
-
-def _check_conv_input(layer: LayerDescriptor, act):
-    """Raise `ShapeMismatch` unless the conv layer fits the (B, C, H, W) `act`."""
-    _, k, *hw = layer.weights.shape
-    # "same" pads any input to at least one window
-    if act.ndim != 4 or act.shape[1] != k or (layer.padding == "valid" and (
-            act.shape[2] < hw[0] or act.shape[3] < hw[1])):
-        raise ShapeMismatch(f"conv2d layer with {k} input channels and a {hw} kernel "
-                            f"does not fit input {act.shape[1:]}")
+        return act.reshape(len(act), layer.weights.shape[1]), None
+    kh, kw = layer.weights.shape[2:]
+    return _im2col(act, kh, kw, layer.stride, layer.padding)[0], out_shape[1:]
 
 
 def _fold(out, layer: LayerDescriptor, hw):
@@ -690,9 +712,8 @@ def _float_conv(layer: LayerDescriptor, act, wmat_t):
     has more) live at once, and each block's output goes straight into the
     next layer's input. A stacked matmul is one GEMM per frame, so the bits
     do not depend on the block."""
-    _check_conv_input(layer, act)
+    _, ho, wo = _layer_out_shape(layer, act.shape[1:])
     kh, kw = layer.weights.shape[2:]
-    ho, wo = _conv_out_hw(*act.shape[2:], kh, kw, layer.stride, layer.padding)
     step = max(1, _PIECE_OPERANDS // (ho * wo * len(wmat_t)))
     out = np.empty((len(act), layer.out_channels, ho, wo))
     for lo in range(0, len(act), step):

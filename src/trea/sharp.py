@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as _net
-from .errors import DomainError, KernelTooSmall, integer, real
+from .errors import DomainError, KernelTooSmall, ShapeMismatch, integer, real
 from .mac import MacMode, kernel_cycles
 from .net import SparsityMask
 
@@ -66,42 +66,61 @@ def retained_count(k_h: int, k_w: int) -> int:
     return 4 * (n // 8)
 
 
+def _float_array(value, name):
+    """`value` as a float64 array; what numpy cannot convert (a str, a
+    ragged list) raises `DomainError` naming `name`."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be an array of numbers: {exc}") from exc
+
+
+def _top_flags(windows: np.ndarray, r: int) -> np.ndarray:
+    """Flags of the r largest |w| in each row of the 2-D `windows`: one
+    stable sort per row, so ties go to the lowest index."""
+    order = np.argsort(-np.abs(windows), axis=1, kind="stable")
+    flags = np.zeros(windows.shape, dtype=bool)
+    np.put_along_axis(flags, order[:, :r], True, axis=1)
+    return flags
+
+
 def prune_kernel(window, r: int) -> SparsityMask:
     """Magnitude mask over one kernel window: flags the r largest |w|,
     breaking ties toward the lowest linear index."""
-    w = np.asarray(window, dtype=np.float64)
+    w = _float_array(window, "window")
+    r = integer(r, "retained count", 0)
     if r > w.size:
         raise DomainError(f"cannot retain {r} of {w.size} weights")
-    order = np.argsort(-np.abs(w).ravel(), kind="stable")
-    flags = np.zeros(w.size, dtype=bool)
-    flags[order[:r]] = True
-    return SparsityMask(flags.reshape(w.shape), r)
+    return SparsityMask(_top_flags(w.reshape(1, -1), r).reshape(w.shape), r)
 
 
 def prune_conv_weights(weights: np.ndarray) -> SparsityMask:
-    """Per-window mask for a (out, in, k_h, k_w) tensor. Windows smaller than
-    the retention rule allows (e.g. 1x1) are left dense."""
-    out_ch, in_ch, k_h, k_w = weights.shape
+    """Per-window mask for a (out, in, k_h, k_w) tensor, every window ranked
+    at once; other shapes raise `ShapeMismatch`. Windows smaller than the
+    retention rule allows (e.g. 1x1) are left dense."""
+    w = _float_array(weights, "weights")
+    if w.ndim != 4:
+        raise ShapeMismatch(f"conv weights must be (out, in, k_h, k_w), got shape {w.shape}")
+    k_h, k_w = w.shape[2:]
     if k_h * k_w < 8:
-        return SparsityMask(np.ones_like(weights, dtype=bool), k_h * k_w)
+        return SparsityMask(np.ones(w.shape, dtype=bool), k_h * k_w)
     r = retained_count(k_h, k_w)
-    flags = np.zeros_like(weights, dtype=bool)
-    for o in range(out_ch):
-        for c in range(in_ch):
-            flags[o, c] = prune_kernel(weights[o, c], r).flags
-    return SparsityMask(flags, r)
+    return SparsityMask(_top_flags(w.reshape(-1, k_h * k_w), r).reshape(w.shape), r)
+
+
+def _attach_mask(layer, mask: SparsityMask):
+    """Set the layer's mask, zero its pruned weights and refresh its mn_scale."""
+    layer.mask = mask
+    layer.weights = layer.weights * mask.flags
+    layer.refresh_mn_scale()
 
 
 def prune_model(model):
     """Attach SHARP masks to every conv layer and zero the pruned weights."""
     pruned = model.copy()
     for layer in pruned.layers:
-        if layer.kind != "conv2d":
-            continue
-        mask = prune_conv_weights(layer.weights)
-        layer.mask = mask
-        layer.weights = layer.weights * mask.flags
-        layer.refresh_mn_scale()
+        if layer.kind == "conv2d":
+            _attach_mask(layer, prune_conv_weights(layer.weights))
     return pruned
 
 
@@ -149,10 +168,7 @@ def fine_tune(model, masks, assignment, dataset, epochs: int, lr: float, seed: i
     if len(masks) != len(work.layers):
         raise DomainError(f"{len(masks)} masks for {len(work.layers)} layers")
     for layer, mask in zip(work.layers, masks):
-        if mask is None:
-            continue
-        layer.mask = mask
-        layer.weights = layer.weights * mask.flags
-        layer.refresh_mn_scale()
+        if mask is not None:
+            _attach_mask(layer, mask)
     return _net.qat_finetune(work, dataset, epochs=epochs, lr=lr, seed=seed)
 

@@ -38,7 +38,50 @@ def random_topology(rng: np.random.Generator):
             out_features=int(rng.integers(2, 25)),
             activation=AfSelect(int(rng.integers(0, 3))),
         )))
-    model = net.build_network(arch, (in_ch, size, size), seed=int(rng.integers(1 << 30)))
+    return _randomized(rng, arch, (in_ch, size, size))
+
+
+# the paper's 5x5 (12 of 25 kept) and 3x3 (4 of 9), rectangular windows of
+# 15 and 8 positions (4 kept), and 1x1, which SHARP leaves dense
+PAPER_KERNELS = ((1, 1), (3, 3), (5, 5), (3, 5), (2, 4))
+# 101 and 130 outputs are more than the 100-unit array takes in one tile
+PAPER_WIDTHS = (2, 24, 101, 130)
+
+
+def paper_topology(rng: np.random.Generator):
+    """A paper-shaped stack as `random_topology` makes one: 0-2 conv layers
+    with the kernels of PAPER_KERNELS on 1-4 input channels of 8-16 px,
+    then 1-2 dense layers as wide as PAPER_WIDTHS. A "valid" conv that its
+    input would not fit is made "same"."""
+    size = int(rng.integers(8, 17))
+    in_ch = int(rng.integers(1, 5))
+    arch = []
+    h = w = size
+    for _ in range(int(rng.integers(0, 3))):
+        kh, kw = PAPER_KERNELS[int(rng.integers(len(PAPER_KERNELS)))]
+        stride = int(rng.integers(1, 3))
+        padding = str(rng.choice(["valid", "same"]))
+        if h < kh or w < kw:
+            padding = "same"
+        if padding == "same":
+            h, w = -(-h // stride), -(-w // stride)
+        else:
+            h, w = (h - kh) // stride + 1, (w - kw) // stride + 1
+        arch.append(("conv2d", dict(
+            out_channels=int(rng.integers(1, 5)), kernel=(kh, kw), stride=stride,
+            padding=padding, activation=AfSelect(int(rng.integers(0, 3))))))
+    for _ in range(int(rng.integers(1, 3))):
+        arch.append(("dense", dict(
+            out_features=PAPER_WIDTHS[int(rng.integers(len(PAPER_WIDTHS)))],
+            activation=AfSelect(int(rng.integers(0, 3))))))
+    return _randomized(rng, arch, (in_ch, size, size))
+
+
+def _randomized(rng, arch, input_shape):
+    """The network of `arch` with halved weights, small random biases, each
+    layer at a random precision, half the conv layers SHARP-pruned, and one
+    random input frame."""
+    model = net.build_network(arch, input_shape, seed=int(rng.integers(1 << 30)))
     for layer in model.layers:
         layer.weights = layer.weights * 0.5  # keep activations tame
         layer.bias = rng.normal(0.0, 0.05, size=layer.bias.shape)
@@ -47,7 +90,7 @@ def random_topology(rng: np.random.Generator):
             layer.mask = sharp.prune_conv_weights(layer.weights)
             layer.weights = layer.weights * layer.mask.flags
         layer.refresh_mn_scale()
-    x = rng.uniform(-0.9, 0.9, size=(in_ch, size, size))
+    x = rng.uniform(-0.9, 0.9, size=input_shape)
     return model, x
 
 

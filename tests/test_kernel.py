@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_topology, weight_codes
+from conftest import paper_topology, random_topology, weight_codes
 from trea import naf, net, sharp
 from trea.errors import AccumulatorOverflow, DomainError, TreaError
 from trea.fxp import FXP4, FXP8, FxPValue, msd_decompose, term_table
@@ -163,8 +163,24 @@ def test_layer_build_cases_include_suspects():
 def test_accumulate_matches_scalar_oracle(seed, batch):
     rng = np.random.default_rng(1000 + seed)
     model, _ = random_topology(rng)
+    _assert_accumulate_is_the_oracle(rng, model, batch, inflate=seed % 3 == 0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_accumulate_matches_scalar_oracle_on_paper_shapes(seed):
+    # 5x5, rectangular and 1x1 windows under SHARP masks, up to 4 input
+    # channels, and dense layers up to 130 outputs wide
+    rng = np.random.default_rng(9000 + seed)
+    model, _ = paper_topology(rng)
+    _assert_accumulate_is_the_oracle(rng, model, 1, inflate=seed % 3 == 0)
+
+
+def _assert_accumulate_is_the_oracle(rng, model, batch, inflate):
+    """Each layer's `_accumulate` of `batch` random operand rows gives the
+    scalar oracle's accumulators, or overflows where it does; with
+    `inflate`, one bias per layer is first moved near the limit."""
     for layer in model.layers:
-        if seed % 3 == 0:
+        if inflate:
             _inflate_bias(rng, layer, net._prepare_layer(layer).acc_limit)
         q = net._prepare_layer(layer)
         x = _layer_operands(rng, layer, batch)

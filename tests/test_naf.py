@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -340,3 +341,83 @@ def test_saturation_threshold_is_oracle_derived():
     thr = saturation_threshold(7)
     assert math.tanh(thr) >= 1.0 - 2.0 ** -8
     assert math.tanh(thr - 1e-6) < 1.0 - 2.0 ** -8
+
+
+# What every WIDE code (`net.WIDE_FMT`, 24.16) makes through each unit, into
+# 16 fractional bits and into FxP8: each (raw, drop) where the output falls
+# from raw to raw + 1, the output and the end of the run it holds at each
+# end of the range, the max |error| against double-precision math (None for
+# ReLU, which is checked code for code against rounding half-even), and the
+# sha256 of the output codes as little-endian int32, in code order. Into
+# FxP8, tanh falls one LSB at four CORDIC sign decisions and is +-127 from
+# |raw| 167768 on, and sigmoid is monotone, 0 up to -364223 and 127 from
+# 291040 on; into 16 bits both fall at eight codes, by up to 414 LSBs.
+_CERTIFICATE = {
+    (AfSelect.TANH, 16): (
+        [(-210952, 12), (-105476, 133), (-52738, 249), (-19260, 414),
+         (19259, 414), (52737, 249), (105475, 133), (210951, 12)],
+        ((-65535, -372416), (65535, 372416)), 0.003957564804079106,
+        "388c0a735c646405b6ef109a7c0269f81fe6b4e3579790dd8e25eba4d36e565a"),
+    (AfSelect.TANH, 7): (
+        [(-52738, 1), (-19260, 1), (19259, 1), (52737, 1)],
+        ((-127, -167768), (127, 167768)), 0.0078125,
+        "909467f6b3017fe418212a4bc15e18cf7bb0b19f0b79379c35fe4082be366630"),
+    (AfSelect.SIGMOID, 16): (
+        [(-421903, 6), (-210951, 67), (-105475, 124), (-38519, 208),
+         (38519, 208), (105475, 124), (210951, 67), (421903, 6)],
+        ((0, -744831), (65535, 712048)), 0.0019825548424170503,
+        "c379916a87dfc5fac8902459813ebb7de2177caa4f35596f05cf8a80b7b60893"),
+    (AfSelect.SIGMOID, 7): (
+        [], ((0, -364223), (127, 291040)), 0.0078125,
+        "bf5561491021ac25a0f3fbd3be4fee6c258a11cafe0f27cc156cdc7283d363da"),
+    (AfSelect.RELU, 16): (
+        [], ((0, 0), (65535, 65535)), None,
+        "9331369e1c2c7b95c90f1b6805ff0db5534aae82940daf9d3af984795cc59427"),
+    (AfSelect.RELU, 7): (
+        [], ((0, 256), (127, 64769)), None,
+        "bd617fe7ebed18fec6f658055aaf8e95dc3790b3a8954a4df1d70f85cbc787ad"),
+}
+
+
+@pytest.mark.parametrize("sel", list(AfSelect), ids=lambda s: s.name.lower())
+def test_every_wide_code_through_each_unit(sel):
+    # the certificate above, read over all 2**24 codes in chunks of 2**18
+    wide, chunk, fmts = net.WIDE_FMT, 1 << 18, (16, 7)
+    exact = {AfSelect.TANH: np.tanh, AfSelect.SIGMOID: lambda x: 1.0 / (1.0 + np.exp(-x))}
+    sha = {f: hashlib.sha256() for f in fmts}
+    err = dict.fromkeys(fmts, 0.0)
+    drops = {f: [] for f in fmts}
+    last = dict.fromkeys(fmts)                  # the previous chunk's last output
+    off_low = dict.fromkeys(fmts)               # the first code whose output is not `low`
+    off_high = dict.fromkeys(fmts)              # the last code whose output is not `high`
+    for lo in range(wide.raw_min, wide.raw_max + 1, chunk):
+        raw = np.arange(lo, lo + chunk, dtype=np.int64)
+        ref = exact[sel](raw * wide.lsb) if sel in exact else None
+        for f in fmts:
+            _, ((low, _), (high, _)), _, _ = _CERTIFICATE[sel, f]
+            out = naf.activate_raw_vec(sel, raw, wide.frac_bits, f)
+            sha[f].update(out.astype("<i4").tobytes())
+            if ref is None:   # ReLU: max(x, 0) rounded half-even, saturated below one
+                want = np.clip(np.rint(np.maximum(raw, 0) * 2.0 ** (f - wide.frac_bits)), 0,
+                               (1 << f) - 1)
+                np.testing.assert_array_equal(out, want)
+            else:
+                err[f] = max(err[f], float(np.abs(out * 2.0 ** -f - ref).max()))
+            if last[f] is not None and out[0] < last[f]:
+                drops[f].append((lo - 1, int(last[f] - out[0])))
+            fall = np.flatnonzero(out[1:] < out[:-1])
+            drops[f] += zip((lo + fall).tolist(), (out[fall] - out[fall + 1]).tolist())
+            last[f] = out[-1]
+            if off_low[f] is None and (out != low).any():
+                off_low[f] = lo + int(np.argmax(out != low))
+            if (out != high).any():
+                off_high[f] = lo + chunk - 1 - int(np.argmax(out[::-1] != high))
+    for f in fmts:
+        dips, ((_, low_end), (_, high_start)), max_err, digest = _CERTIFICATE[sel, f]
+        assert drops[f] == dips
+        assert (off_low[f] - 1, off_high[f] + 1) == (low_end, high_start)
+        if max_err is None:
+            assert err[f] == 0.0
+        else:
+            assert err[f] == pytest.approx(max_err, rel=0, abs=1e-12)
+        assert sha[f].hexdigest() == digest

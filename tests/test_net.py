@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import struct
 import tracemalloc
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import random_topology, rewrite_manifest, weight_codes
+from conftest import (PAPER_KERNELS, paper_topology, random_topology, rewrite_manifest,
+                      weight_codes)
 from trea import fxp, net, sched, sharp
 from trea.errors import (DivergenceError, DomainError, FormatError, InvalidSelect,
                          ShapeMismatch, TreaError)
@@ -228,6 +230,13 @@ def _random_geometry(rng):
     return kh, kw, stride, padding, int(rng.integers(kh, 10)), int(rng.integers(kw, 10))
 
 
+def _out_hw(h, w, kh, kw, stride, padding):
+    """(ho, wo) of a kh x kw conv on an h x w input, by `net._layer_out_shape`."""
+    layer = net.LayerDescriptor("conv2d", AfSelect.TANH, MacMode.FXP8, np.zeros((1, 1, kh, kw)),
+                                np.zeros(1), stride=stride, padding=padding)
+    return net._layer_out_shape(layer, (1, h, w))[1:]
+
+
 def test_col2im_is_the_patch_loop_byte_for_byte():
     rng = np.random.default_rng(83)
     geometries = [_random_geometry(rng) for _ in range(300)]
@@ -235,7 +244,7 @@ def test_col2im_is_the_patch_loop_byte_for_byte():
                    for p in ("valid", "same")]       # kernel = input
     for kh, kw, stride, padding, h, w in geometries:
         b, c = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        ho, wo = net._conv_out_hw(h, w, kh, kw, stride, padding)
+        ho, wo = _out_hw(h, w, kh, kw, stride, padding)
         dcols = rng.normal(size=(b, ho * wo, c * kh * kw))
         dcols[rng.random(dcols.shape) < 0.2] = -0.0     # signed zeros must survive
         got = net._col2im(dcols, (b, c, h, w), kh, kw, stride, padding)
@@ -248,19 +257,33 @@ def test_col2im_is_the_patch_loop_byte_for_byte():
 @pytest.mark.parametrize("padding", ["valid", "same"])
 def test_col2im_of_an_empty_batch_is_float64(padding):
     # np.bincount of an empty index gives int64 whatever its weights
-    ho, wo = net._conv_out_hw(8, 9, 3, 3, 2, padding)
+    ho, wo = _out_hw(8, 9, 3, 3, 2, padding)
     got = net._col2im(np.zeros((0, ho * wo, 2 * 9)), (0, 2, 8, 9), 3, 3, 2, padding)
     assert got.dtype == np.float64 and got.shape == (0, 2, 8, 9)
 
 
 def test_conv_out_hw_counts_the_patches_of_the_padded_input():
+    # `_layer_out_shape`'s closed form against the patches of the input as
+    # `_pads` pads it, along either axis for every size, kernel and stride up
+    # to 19, 7 and 3 (where a "valid" kernel is larger than its input, it
+    # raises), then on random 2-D geometries
+    for n, k, stride, padding in itertools.product(range(1, 20), range(1, 8), range(1, 4),
+                                                   ("valid", "same")):
+        padded = n + sum(net._pads(n, k, stride, padding))
+        for h, w, kh, kw, hp, wp in ((n, 1, k, 1, padded, 1), (1, n, 1, k, 1, padded)):
+            if padded < k:
+                with pytest.raises(ShapeMismatch, match="kernel larger"):
+                    _out_hw(h, w, kh, kw, stride, padding)
+                continue
+            _, ho, wo = net._patch_index(1, hp, wp, kh, kw, stride)
+            assert _out_hw(h, w, kh, kw, stride, padding) == (ho, wo)
     rng = np.random.default_rng(89)
     for _ in range(300):
         kh, kw, stride, padding, h, w = _random_geometry(rng)
         pt, pb = net._pads(h, kh, stride, padding)
         pl, pr = net._pads(w, kw, stride, padding)
         _, ho, wo = net._patch_index(1, h + pt + pb, w + pl + pr, kh, kw, stride)
-        assert net._conv_out_hw(h, w, kh, kw, stride, padding) == (ho, wo)
+        assert _out_hw(h, w, kh, kw, stride, padding) == (ho, wo)
 
 
 def test_patch_index_is_read_only_and_shared():
@@ -458,10 +481,13 @@ def _one_piece_quant(model, x):
 
 
 def _random_batch(seed):
-    """A `random_topology` model and 1 to 300 frames, enough for several
-    conv blocks and kernel chunks on some seeds."""
+    """Seeds 0-1: `_paper_shaped`. Seeds 2-23: a `random_topology` model and
+    1 to 300 frames, enough for several conv blocks and kernel chunks on
+    some seeds. Seeds from 24 on: the same of a `paper_topology` model."""
+    if seed < 2:
+        return _paper_shaped(seed)
     rng = np.random.default_rng(8000 + seed)
-    model, x = random_topology(rng)
+    model, x = (random_topology if seed < 24 else paper_topology)(rng)
     return model, rng.uniform(-0.9, 0.9, size=(int(rng.integers(1, 301)),) + x.shape)
 
 
@@ -469,18 +495,18 @@ class TestBoundedInference:
     """Both inference passes run in pieces and hold no training caches; the
     pieces move no bit."""
 
-    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("seed", range(32))
     def test_float_pass_is_the_training_pass(self, seed):
-        model, xs = _paper_shaped(seed) if seed < 2 else _random_batch(seed)
+        model, xs = _random_batch(seed)
         want = net._float_pass(model, xs, with_cache=True)[1]
         got = net.forward_float(model, xs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         one = net.forward_float(model, xs[-1])
         assert one.tobytes() == net._float_pass(model, xs[-1:], with_cache=True)[1][0].tobytes()
 
-    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("seed", range(32))
     def test_chunked_quant_pass_is_the_one_piece_pass(self, seed):
-        model, xs = _paper_shaped(seed) if seed < 2 else _random_batch(seed)
+        model, xs = _random_batch(seed)
         want = _one_piece_quant(model, xs)
         got = net.forward_quant(model, xs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -608,6 +634,20 @@ class TestSerialization:
                         *(("masked", m) for m in (True, False)),
                         *(("padding", p) for p in ("valid", "same")),
                         *(("stride", s) for s in (1, 2))}
+
+    def test_paper_shaped_round_trip(self, tmp_path):
+        # every kernel of `PAPER_KERNELS`, SHARP-pruned (12 of 25, 4 of 8,
+        # 4 of 15, 1x1 left dense) or not, and dense layers wider than 100
+        seen = set()
+        for seed in range(48):
+            model, x = paper_topology(np.random.default_rng(6200 + seed))
+            _assert_round_trip(model, x, tmp_path)
+            for layer in model.layers:
+                if layer.kind == "conv2d":
+                    seen.add((layer.weights.shape[2:], layer.mask is not None))
+                else:
+                    seen.add(layer.out_channels > 100)
+        assert seen == {*((k, m) for k in PAPER_KERNELS for m in (True, False)), True, False}
 
     def test_numpy_scalar_seed_and_retained_count_round_trip(self, tmp_path):
         model = _conv_dense_model()
@@ -889,7 +929,23 @@ class TestDescriptors:
         ([("dense", dict(out_features=4, activation=AfSelect.TANH)),
           ("conv2d", dict(out_channels=1, kernel=(1, 1), activation=AfSelect.TANH))],
          "conv2d after a dense"),
-    ], ids=["empty-conv-then-dense", "conv-after-dense"])
+        # each arch spec below escaped as TypeError, KeyError or ValueError
+        ([("conv2d", dict(out_channels=1, kernel=3, activation=AfSelect.TANH))],
+         r"layer 0: kernel must be a \(k_h, k_w\) pair"),
+        ([("dense", dict(activation=AfSelect.TANH))],
+         "layer 0: dense params have no 'out_features'"),
+        ([("dense", dict(out_features=2, activation=AfSelect.TANH)),
+          ("dense", dict(out_features=2))], "layer 1: dense params have no 'activation'"),
+        ([("conv2d", dict(out_channels=1, kernel=(3, 3)))], "conv2d params have no 'activation'"),
+        ([("dense", dict(out_features=2, activation=AfSelect.TANH), "extra")],
+         r"layer 0: arch entry .* is not a \(kind, params\) pair"),
+        ([None], "is not a"),
+        (None, "arch must be a list"),
+        ([("dense", [("out_features", 2)])], "layer 0: dense params must be a mapping"),
+    ], ids=["empty-conv-then-dense", "conv-after-dense", "kernel-not-a-pair",
+            "dense-without-out_features", "dense-without-activation",
+            "conv-without-activation", "entry-of-three", "entry-not-a-pair",
+            "arch-not-a-list", "params-not-a-mapping"])
     def test_build_network_rejects_a_misfit_arch(self, arch, match):
         with pytest.raises(ShapeMismatch, match=match):
             net.build_network(arch, (1, 4, 4), seed=1)

@@ -146,6 +146,8 @@ ROWS = [
     _row("ecpi.p_avg_watts", "real", DomainError, lambda v: metrics.ecpi(v, 1e-3), 1.5),
     _row("ecpi.sfil_seconds", "real", DomainError, lambda v: metrics.ecpi(1.5, v), 1e-3),
     _row("retained_count", "integer", DomainError, lambda v: sharp.retained_count(v, 3), 3),
+    _row("prune_kernel.r", "integer", DomainError,
+         lambda v: sharp.prune_kernel(np.arange(9.0).reshape(3, 3), v).retained_per_window, 4),
     _row("assign_precision.epsilon", "budget", DomainError,
          lambda v: sharp.assign_precision(_model(), lambda m: 1.0, v).epsilon, 0.01),
     _row("PrecisionAssignment.modes", "mode", DomainError,

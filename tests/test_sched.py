@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_topology
+from conftest import paper_topology, random_topology
 from trea import net, sched, sharp
 from trea.errors import DomainError
 from trea.mac import MacMode
@@ -239,16 +239,31 @@ def _oracle_models():
             yield model, np.zeros(model.input_shape), int(rng.integers(1, 151))
 
 
+def _assert_stepped_array(model, x, units):
+    """The trace, CPFI and MAC cycles of `simulate` are the stepped array's,
+    and its scores are `forward_quant`'s."""
+    cfg = ArrayConfig(mac_units=units)
+    events, mac = _stepped(model, units)
+    for _ in range(2):   # the second call reads the memo
+        scores, trace = simulate(model, x, cfg)
+        assert _event_tuples(trace) == events
+        assert trace.cpfi == cpfi_analytic(model, cfg) == events[-1][0]
+        assert mac_cycles_total(model, cfg) == mac
+        np.testing.assert_array_equal(scores, net.forward_quant(model, x))
+
+
 def test_schedule_matches_the_cycle_stepped_array():
     for model, x, units in _oracle_models():
-        cfg = ArrayConfig(mac_units=units)
-        events, mac = _stepped(model, units)
-        for _ in range(2):   # the second call reads the memo
-            scores, trace = simulate(model, x, cfg)
-            assert _event_tuples(trace) == events
-            assert trace.cpfi == cpfi_analytic(model, cfg) == events[-1][0]
-            assert mac_cycles_total(model, cfg) == mac
-            np.testing.assert_array_equal(scores, net.forward_quant(model, x))
+        _assert_stepped_array(model, x, units)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_schedule_matches_the_cycle_stepped_array_on_paper_shapes(seed):
+    # 5x5, rectangular and 1x1 windows, SHARP's 12-of-25 and 4-of-8 masks,
+    # and dense layers that take more than one tile of up to 150 units
+    rng = np.random.default_rng(6100 + seed)
+    model, x = paper_topology(rng)
+    _assert_stepped_array(model, x, int(rng.integers(1, 151)))
 
 
 def test_stepped_array_reproduces_the_kernel_claims():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trea import mac, net, sharp
-from trea.errors import DomainError, KernelTooSmall
+from trea.errors import DomainError, KernelTooSmall, ShapeMismatch
 from trea.mac import MacMode
 from trea.sharp import (
     PrecisionAssignment,
@@ -81,6 +81,24 @@ class TestPruneConv:
         a = prune_conv_weights(w)
         b = prune_conv_weights(w)
         assert np.array_equal(a.flags, b.flags)
+
+    @pytest.mark.parametrize("weights, error", [
+        (np.ones((3, 3)), ShapeMismatch),          # escaped as ValueError
+        (np.ones((2, 3, 3)), ShapeMismatch),
+        (np.ones((1, 1, 1, 3, 3)), ShapeMismatch),
+        (0.5, ShapeMismatch),
+        ([[1.0, 2.0], [3.0]], DomainError),
+        ("abc", DomainError),
+    ], ids=["2-D", "3-D", "5-D", "scalar", "ragged", "str"])
+    def test_weights_that_are_not_a_4d_array_raise(self, weights, error):
+        with pytest.raises(error):
+            prune_conv_weights(weights)
+
+    def test_a_4d_list_is_read_as_its_array(self):
+        # a list escaped as AttributeError
+        w = np.random.default_rng(4).normal(size=(2, 2, 3, 3))
+        got = prune_conv_weights(w.tolist())
+        assert got.flags.tobytes() == prune_conv_weights(w).flags.tobytes()
 
 
 class TestKernelCycles:
