@@ -67,8 +67,14 @@ def real(value, what, error=DomainError) -> float:
     """`value` as a Python float, raising `error` naming `what` unless it is
     a finite real number and not a bool; one past float's range is not
     finite."""
-    if type(value) is float and math.isfinite(value):   # a plain float skips the ABC checks
+    # a plain float or int skips the ABC checks: `metrics.sfil` runs this per frame
+    if type(value) is float and math.isfinite(value):
         return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:   # an int past float's range
+            raise error(f"{what} must be a finite number, got {value!r}") from None
     try:
         finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
                   and math.isfinite(value))

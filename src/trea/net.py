@@ -27,16 +27,19 @@ through the same patch index. `_pads` is the one padding rule, and
 frame's input shape, or `ShapeMismatch` at a misfit, which the network's
 shape chain (`_layer_shapes`), both passes and `build_network` read.
 
-The quantized accumulate is one shift-plane kernel, `_kernel`, which runs
-once `_check_overflow` has passed its rows (in `_accumulate` on QAT's passes,
-in `_boundary_rows` on inference), and its planes, which
-`_build_quant_layer` gathers from `fxp.term_codes`, are the only encoding of
-a layer's weights. Each descriptor keeps its last prepared layer
-(`_prepare_layer`), keyed on the identity of its sealed arrays and mask and
-on its scalars, so nothing needs invalidating, with a table of the boundary
-chain over every accumulator code the layer can reach; inference reads that
-table. QAT's passes, whose weights and mn_scale change every step, build
-each layer afresh and run the chain on their accumulators.
+The quantized accumulate is one kernel, `_kernel`: a single matmul of the
+layer's (out, S*K) sign matrix, its S shift planes side by side, by the S
+shifted copies of the operand rows, for one frame or a chunk of a batch
+alike. It runs once `_check_overflow` has passed its rows (in `_accumulate`
+on QAT's passes, in `_boundary_rows` on inference), and the sign matrix,
+which `_build_quant_layer` gathers from `fxp.term_codes` and whose per-shift
+views are the planes, is the only encoding of a layer's weights. Each
+descriptor keeps its last prepared layer (`_prepare_layer`), keyed on the
+identity of its sealed arrays and mask and on its scalars, so nothing needs
+invalidating, with a table of the boundary chain over every accumulator code
+the layer can reach; inference reads that table. QAT's passes, whose weights
+and mn_scale change every step, build each layer afresh and run the chain on
+their accumulators.
 
 Inference holds no training caches and works in pieces of at most
 _PIECE_OPERANDS operands wherever a piece cannot move a bit. The float pass
@@ -592,7 +595,7 @@ def _im2col(x, kh, kw, stride, padding):
     # an explicit row size: reshape(0, -1) cannot infer it for an empty batch.
     # `take` returns C order; x[:, idx] puts the batch axis innermost, which
     # costs a copy in `_accumulate` and moves the float matmul's rounding
-    return np.take(x.reshape(b, c * h * w), idx, axis=1), ho, wo
+    return x.reshape(b, c * h * w).take(idx, axis=1), ho, wo
 
 
 def _col2im(dcols, x_shape, kh, kw, stride, padding):
@@ -667,7 +670,8 @@ def _check_input(model, x):
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} != model input {model.input_shape}"
         )
-    if not np.isfinite(x).all():
+    # the ufunc's own reduce: `.all()` adds Python frames per call
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise DomainError("input contains NaN or infinity")
     return x, single
 
@@ -825,11 +829,14 @@ def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
 
 def _sat_encode_raw(values, fmt: FxPFormat, dtype=np.int64):
     """Round-to-nearest-even then saturate into the format's raw range, as
-    `dtype` codes. Boundary requantization clips instead of erroring."""
+    `dtype` codes. Boundary requantization clips instead of erroring;
+    maximum then minimum clip as `np.clip` does, without its Python frames."""
     raw = np.asarray(values, dtype=np.float64) * (1 << fmt.frac_bits)
     # in place: fresh temporaries cost page faults on large batches
     np.rint(raw, out=raw)
-    return np.clip(raw, fmt.raw_min, fmt.raw_max, out=raw).astype(dtype)
+    np.maximum(raw, fmt.raw_min, out=raw)
+    np.minimum(raw, fmt.raw_max, out=raw)
+    return raw.astype(dtype)
 
 
 # float32 holds every integer of magnitude below 2**24 exactly
@@ -845,6 +852,11 @@ def _requant_table(fmt: FxPFormat) -> np.ndarray:
     return _seal(_sat_encode_raw(codes * BOUNDARY_FMT.lsb, fmt, np.int8))
 
 
+# Each boundary code's float64 value at index c & 0xFF, as `_requant_table`
+# is read: the scores are one read of it, exact since code * lsb is.
+_DECODE = _seal(np.arange(256, dtype=np.uint8).view(np.int8) * BOUNDARY_FMT.lsb)
+
+
 @dataclass
 class _QuantLayer:
     """A layer's weights and bias in the form the kernel reads. Shared by
@@ -853,7 +865,9 @@ class _QuantLayer:
     out_channels: int
     bias_raw: np.ndarray           # accumulator-scale preload per output
     acc_limit: int                 # overflow bound at the Eq-width
-    planes: tuple                  # (m, C_m) per shift in use; C_m signed (out, K)
+    shifts: np.ndarray             # the S shifts in use, ascending, int8 (S, 1, 1)
+    signs: np.ndarray              # (out, S*K): output o's C_m rows, shift by shift
+    planes: tuple                  # (m, C_m) per shift in use: (out, K) views of signs
     suspect: np.ndarray            # outputs whose prefix sums the screen cannot clear
     acc_bound: int                 # R: no accumulator that passes the check leaves [-R, R]
     boundary: np.ndarray | None = None  # int8 boundary code of acc at acc + R (prepared only)
@@ -885,23 +899,29 @@ def _build_quant_layer(layer: LayerDescriptor):
     f = fmt.frac_bits
     wn = layer.masked_weights() / layer.mn_scale
     bias_n = layer.bias / layer.mn_scale
-    # max propagates NaN, so a non-finite weight leaves `peak` non-finite
-    peak = float(np.abs(wn).max())
-    if not (math.isfinite(peak) and np.isfinite(bias_n).all()):
+    # maximum propagates NaN, so a non-finite weight leaves `peak` non-finite;
+    # the ufuncs' own reduces, as QAT builds every layer on every step
+    peak = float(np.maximum.reduce(np.abs(wn), axis=None))
+    if not (math.isfinite(peak) and np.logical_and.reduce(np.isfinite(bias_n))):
         raise DomainError("weights, bias or mn_scale are not finite")
     if peak > 1.0 - fmt.lsb + 1e-12:
         raise DomainError("weights exceed mn normalization; refresh mn_scale")
-    codes = (np.rint(wn * (1 << f)) - fmt.raw_min).astype(np.intp).reshape(
-        layer.out_channels, -1)
+    wn *= 1 << f                   # exact: a power of two
+    np.rint(wn, out=wn)
+    wn -= fmt.raw_min
+    codes = wn.astype(np.intp).reshape(layer.out_channels, -1)
     tables = term_codes(fmt, layer.precision.terms)
     used = int(np.bitwise_or.reduce(tables.shifts.take(codes), axis=None))
     shifts = [m for m in range(f + 1) if used >> m & 1]
     reach = tables.reach.take(codes).sum(axis=1)
-    signs = tables.signs[shifts].take(codes, axis=1)
-    if reach.max() >= _F32_EXACT:   # see `_accumulate`
-        signs = signs.astype(np.float64)
-    signs.setflags(write=False)
-    planes = tuple(zip(shifts, signs))
+    # (out, S, K): each output's sign rows side by side, one row of the
+    # kernel's matrix. The gather runs in int8 (a MacMode format has no NaN
+    # column), so its (S, out, K) temporary is a quarter of the signs' size,
+    # and skips the bounds check ("clip"), since the takes above made it.
+    dtype = np.float64 if reach.max() >= _F32_EXACT else np.float32   # see `_accumulate`
+    signs = tables.signs[shifts].astype(np.int8).take(codes, axis=1, mode="clip")
+    signs = _seal(signs.transpose(1, 0, 2).astype(dtype, order="C"))
+    planes = tuple((m, signs[:, i]) for i, m in enumerate(shifts))
     bias_raw = np.rint(bias_n * (1 << f)).astype(np.int64)
     k = layer.retained_per_output()
     has_bias = bool(np.any(bias_raw))
@@ -916,7 +936,9 @@ def _build_quant_layer(layer: LayerDescriptor):
     # the screen clears the others, and `_check_overflow` holds the suspects
     # inside the limit
     acc_bound = math.ceil(min(float(bound.max()), lim))
-    q = _QuantLayer(layer.out_channels, _seal(bias_raw), lim, planes, suspect, acc_bound)
+    q = _QuantLayer(layer.out_channels, _seal(bias_raw), lim,
+                    _seal(np.reshape(shifts, (-1, 1, 1)).astype(np.int8)),
+                    signs.reshape(layer.out_channels, -1), planes, suspect, acc_bound)
     return q, codes
 
 
@@ -929,14 +951,17 @@ def _accumulate(q: _QuantLayer, x_raw_mat):
     signed term matrices C_m, and the accumulator is
     bias + sum_m (x >> m) @ C_m.T. The shift is per operand with floor
     semantics, so each partial product is truncated before it is added, as
-    the DQ-MAC does. The matmuls run in floating point and are exact: every
-    entry of `x >> m` is an integer of magnitude at most 2**(F-m) and every
-    C_m entry is in {-1, 0, 1}, so every partial sum, in any summation order
-    and across the planes, is an integer no larger in magnitude than the
-    output's reach, sum_m 2**(F-m) |C_m[o]|. `_build_quant_layer` stores the
-    planes in float32, which holds every integer below 2**24, when every
+    the DQ-MAC does. `_kernel` runs all S shifts in use as one matmul, as the
+    DQ-MAC runs a window's terms in one pass: the (out, S*K) sign matrix
+    (each output's C_m rows side by side) times the (S*K, N) stack of the
+    shifted operands. It runs in floating point and is exact: every entry of
+    `x >> m` is an integer of magnitude at most 2**(F-m) and every C_m entry
+    is in {-1, 0, 1}, so every partial sum of the S*K products, in whatever
+    order and blocking BLAS takes, is an integer no larger in magnitude than
+    the output's reach, sum_m 2**(F-m) |C_m[o]|. `_build_quant_layer` stores
+    the signs in float32, which holds every integer below 2**24, when every
     output's reach is below that, and in float64, which holds them up to
-    2**53, otherwise; the sums run in the planes' dtype. The bias is added in
+    2**53, otherwise; the sums run in the signs' dtype. The bias is added in
     int64.
 
     The hardware checks the accumulator width after every add, so
@@ -951,12 +976,15 @@ def _accumulate(q: _QuantLayer, x_raw_mat):
 
 def _kernel(q: _QuantLayer, x):
     """`_accumulate`'s shift-plane sums of the (N, K) rows `x`, unchecked:
-    the caller has run `_check_overflow` over them."""
-    dtype = q.planes[0][1].dtype if q.planes else np.float64
-    total = np.zeros((x.shape[0], q.out_channels), dtype=dtype)
-    for m, c in q.planes:
-        total += (x >> m).astype(dtype) @ c.T
-    acc = total.astype(np.int64)
+    the caller has run `_check_overflow` over them. One matmul of the sign
+    matrix and the (S, K, N) shifted operands, whatever N and S are (an
+    empty batch, or no shift in use, is a matmul with nothing to sum); the
+    (out, N) product is read back into C-order (N, out) accumulators."""
+    shifted = (np.ascontiguousarray(x.T) >> q.shifts).astype(q.signs.dtype)
+    # signs on the left: OpenBLAS took about twice as long over QAT's 16 rows
+    # of the README model's hidden layer as (N, S*K) @ (S*K, out)
+    total = q.signs @ shifted.reshape(q.signs.shape[1], len(x))
+    acc = total.T.astype(np.int64, order="C")
     acc += q.bias_raw
     return acc
 
@@ -1000,7 +1028,7 @@ def _check_overflow(q: _QuantLayer, x):
     does. The first column j where any row leaves it is the add the
     hardware stops at.
     """
-    if not x.size:
+    if not (len(q.suspect) and x.size):   # the screen cleared every output
         return
     lim = q.acc_limit
     for o in q.suspect:
@@ -1074,7 +1102,7 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         if BOUNDARY_FMT.frac_bits == fmt.frac_bits:
             x_raw = act_raw
         else:
-            x_raw = np.take(_requant_table(fmt), act_raw.view(np.uint8))
+            x_raw = _requant_table(fmt).take(act_raw.view(np.uint8))
         cols, hw = _layer_rows(layer, x_raw)
         if with_cache:
             pre_true, bound_raw = _boundary_chain(layer, _accumulate(q, cols))
@@ -1091,7 +1119,7 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         else:
             bound_raw = _boundary_rows(q, cols)
         act_raw = _fold(bound_raw, layer, hw)
-    scores = act_raw.astype(np.float64) * BOUNDARY_FMT.lsb
+    scores = _DECODE.take(act_raw.view(np.uint8))
     if single:
         scores = scores[0]
     return pre_true, scores, caches
@@ -1106,11 +1134,11 @@ def forward_quant(model: NetworkDescriptor, x):
     pushed through the CORDIC activation unit, then requantized at the layer
     boundary; that boundary is read from each prepared layer's table.
 
-    It holds each layer's int8 operand rows and codes; the kernel's float
-    planes and int64 accumulators live one chunk at a time. About 1.4 KB a
-    frame on the bench's mixed README model (tracemalloc), most of it the
-    float64 and index temporaries of the model input's encode and first
-    requantization.
+    It holds each layer's int8 operand rows and codes; the kernel's shifted
+    float operands and int64 accumulators live one chunk at a time. About
+    1.4 KB a frame on the bench's mixed README model (tracemalloc), most of
+    it the float64 and index temporaries of the model input's encode and
+    first requantization.
     """
     _, scores, _ = _quant_pass(model, x)
     return scores

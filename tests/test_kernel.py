@@ -5,6 +5,7 @@ the width after every add, in bias-then-operand-then-term order; that is the
 hardware order the kernel must reproduce, including where it overflows.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -144,11 +145,27 @@ def test_layer_build_equals_a_per_plane_reference(seed, mode):
         for (_, got), (_, want) in zip(q.planes, planes):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+        # the kernel's matrix: each output's plane rows side by side, in
+        # shift order, and the planes are views of it, not a second copy
+        want = np.concatenate([c for _, c in planes], axis=1) if planes else []
+        np.testing.assert_array_equal(q.signs, np.reshape(want, (layer.out_channels, -1)))
+        _assert_planes_view_the_signs(q)
         np.testing.assert_array_equal(q.bias_raw, bias_raw)
         np.testing.assert_array_equal(q.suspect, suspect)
         assert (q.acc_limit, q.acc_bound) == (lim, acc_bound)
         if caches is not None:
             np.testing.assert_array_equal(caches[i]["wmat"], wmat)
+
+
+def _assert_planes_view_the_signs(q):
+    """Every plane is a read-only (out, K) view of the one sign matrix, and
+    the shifts the kernel reads are the planes' shifts."""
+    assert q.signs.flags.c_contiguous and not q.signs.flags.writeable
+    assert q.shifts.tolist() == [[[m]] for m, _ in q.planes]
+    for _, c in q.planes:
+        assert c.base is not None and np.shares_memory(c, q.signs)
+        assert c.shape == (q.out_channels, q.signs.shape[1] // len(q.planes))
+        assert not c.flags.writeable
 
 
 def test_layer_build_cases_include_suspects():
@@ -482,7 +499,8 @@ def test_prepared_layer_is_shared_and_read_only(wide_layers):
     for layer in model.layers:
         q = net._prepare_layer(layer)
         assert net._prepare_layer(layer) is q
-        shared += [c for _, c in q.planes] + [q.bias_raw, q.suspect, q.boundary]
+        shared += [c for _, c in q.planes] + [q.signs, q.shifts, q.bias_raw, q.suspect,
+                                              q.boundary]
     # planes in either dtype: the wide layers' tables would take seconds to
     # build, so they are read as the layer build leaves them
     for layer in wide_layers.values():
@@ -531,14 +549,75 @@ def test_plane_dtype_follows_the_reach_bound(wide_layers, side, dtype):
     ends = np.array([fmt.raw_min, fmt.raw_max], dtype=np.int8)
     x = np.stack([np.full(k, fmt.raw_min), np.full(k, fmt.raw_max),
                   np.resize(ends, k), rng.choice(ends, size=k)]).astype(np.int8)
-    want = sum(((x.astype(np.int64) >> m) @ c.astype(np.int64).T for m, c in q.planes),
-               q.bias_raw)
+    assert q.signs.dtype == np.dtype(dtype) and q.signs.shape == (2, 5 * k)
+    _assert_planes_view_the_signs(q)
+    want = _per_plane_reference(q, x)
     # the all-min row drives every accumulator to -reach, plus its bias
     np.testing.assert_array_equal(want[0], q.bias_raw - reach)
-    for operands in (x, x.astype(np.int64)):
+    for operands in (x, x.astype(np.int64), x[:1], x[:0]):
         got = net._accumulate(q, operands)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want[:len(operands)])
+
+
+def _per_plane_reference(q, x):
+    """`_accumulate`'s sums of the (N, K) rows x in int64, one shift plane at
+    a time: bias + sum_m (x >> m) @ C_m.T."""
+    x = np.asarray(x, dtype=np.int64)
+    want = np.zeros((len(x), q.out_channels), dtype=np.int64) + q.bias_raw
+    for m, c in q.planes:
+        want += (x >> m) @ c.astype(np.int64).T
+    return want
+
+
+def _edge_layer(case, mode, rng):
+    """A layer of `mode` for one kernel edge case: all-zero weights (no shift
+    plane, so an (out, 0) sign matrix), one operand per output (K = 1, dense
+    and 1x1 conv), or a random dense or conv layer."""
+    kind = "conv2d" if rng.random() < 0.5 else "dense"
+    k = 1 if case == "k1" else int(rng.integers(2, 5))
+    shape = (3, 1, k, 1) if kind == "conv2d" else (3, k)
+    w = np.zeros(shape) if case == "zero_weights" else rng.normal(size=shape)
+    layer = net.LayerDescriptor(kind, AfSelect.TANH, mode, w, rng.normal(0.0, 0.05, 3))
+    layer.refresh_mn_scale()
+    return layer
+
+
+@pytest.mark.parametrize("mode", list(MacMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", ["empty_batch", "zero_weights", "k1", "int64_operands"])
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_edge_cases_equal_a_per_plane_reference(seed, case, mode):
+    # the one stacked matmul, wherever it degenerates: no rows, no shift
+    # plane, one operand per row, int64 operands
+    rng = np.random.default_rng(8000 + seed)
+    layer = _edge_layer(case, mode, rng)
+    q = net._prepare_layer(layer)
+    _assert_planes_view_the_signs(q)
+    if case == "zero_weights":
+        assert not q.planes and q.signs.shape == (3, 0)
+    fmt = mode.fmt
+    rows = 0 if case == "empty_batch" else int(rng.integers(1, 6))
+    x = rng.integers(fmt.raw_min, fmt.raw_max + 1,
+                     size=(rows, layer.weights[0].size)).astype(np.int8)
+    want = _per_plane_reference(q, x)
+    for operands in (x, x.astype(np.int64)) if case == "int64_operands" else (x,):
+        got = net._accumulate(q, operands)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(net._boundary_rows(q, operands),
+                                      q.boundary[want + q.acc_bound])
+    # and through the whole pass, on a model of that one layer
+    in_shape = (1, layer.weights.shape[2], 1) if layer.kind == "conv2d" else (1, 1, x.shape[1])
+    model = net.NetworkDescriptor("edge", in_shape, [layer])
+    frames = rng.uniform(-0.9, 0.9, size=(rows, *in_shape))
+    scores = net.forward_quant(model, frames)
+    (out_shape,) = model.layer_shapes()
+    assert scores.shape == (rows, *out_shape)
+    if case == "zero_weights":
+        # every accumulator is its bias: the scores are the bias's codes
+        bias = np.broadcast_to(q.bias_raw.reshape(out_shape), scores.shape)
+        np.testing.assert_array_equal(
+            scores, q.boundary[bias + q.acc_bound] * net.BOUNDARY_FMT.lsb)
 
 
 @pytest.mark.parametrize("mode", list(MacMode), ids=lambda m: m.value)
@@ -637,3 +716,42 @@ def test_int8_operands_overflow_where_int64_operands_do():
                 np.testing.assert_array_equal(got, want)
     assert any("operand bias" in m for m in messages)
     assert any("operand bias" not in m for m in messages)
+
+
+# sha256 over `_digest_outputs`' bytes, computed before the shift planes were
+# stacked into one matmul; only integer-exact paths and seeded IEEE
+# arithmetic feed it, so any BLAS, thread count or chunking gives it
+_QUANT_DIGEST = "de10e5e53d760cac3e65c9910ae63983605c281c58d9309ddecd38b30a16e444"
+
+
+def _digest_outputs(model, x, rng):
+    """Per select forced on every layer in turn: `forward_quant` of a batch
+    of three frames and of one frame, and QAT's pass (scores and last
+    pre-activations) over the batch; a `TreaError` counts as its message."""
+    xs = np.stack([x] + [rng.uniform(-0.9, 0.9, size=x.shape) for _ in range(2)])
+    for sel in AfSelect:
+        for layer in model.layers:
+            layer.activation = sel
+        for run in (lambda: net.forward_quant(model, xs), lambda: net.forward_quant(model, x),
+                    lambda: net._quant_pass(model, xs, with_cache=True)[:2]):
+            try:
+                got = run()
+            except TreaError as exc:
+                yield f"{type(exc).__name__}: {exc}".encode()
+                continue
+            for a in got if isinstance(got, tuple) else (got,):
+                yield f"{a.dtype.str}{a.shape}".encode() + np.ascontiguousarray(a).tobytes()
+
+
+def test_quantized_outputs_match_their_digest():
+    # the north star's "byte-identical unless on purpose" for the integer
+    # pass: any change to the kernel, the table read or the encodes that
+    # moves one score or pre-activation of these models moves the digest
+    h = hashlib.sha256()
+    for make, base in ((random_topology, 11000), (paper_topology, 12000)):
+        for seed in range(24):
+            rng = np.random.default_rng(base + seed)
+            model, x = make(rng)
+            for chunk in _digest_outputs(model, x, rng):
+                h.update(chunk)
+    assert h.hexdigest() == _QUANT_DIGEST

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from trea import fxp, mac, metrics, naf, net, sched, sharp
-from trea.errors import DomainError, InvalidSelect, RangeError, ShapeMismatch, TreaError
+from trea.errors import DomainError, InvalidSelect, RangeError, ShapeMismatch, TreaError, real
 from trea.fxp import FXP4, FXP8, FxPFormat, FxPValue
 from trea.mac import MacMode
 from trea.naf import AfSelect
@@ -176,3 +176,13 @@ def test_numpy_scalars_come_back_as_python_numbers(row):
     want = row.call(row.good)
     got = row.call(NUMPY[row.rule](row.good))
     assert type(got) is type(want) and got == want
+
+
+def test_real_reads_a_plain_int_as_its_float():
+    # the plain-int path skips the ABC checks and still keeps the rule: a
+    # bool is no number, and an int past float's range is not finite
+    assert real(3, "x") == 3.0 and type(real(3, "x")) is float
+    assert real(-(2 ** 53), "x") == -(2.0 ** 53)
+    for value in (10 ** 400, -(10 ** 400), True, False):
+        with pytest.raises(ShapeMismatch, match="x must be a finite number"):
+            real(value, "x", ShapeMismatch)
