@@ -18,9 +18,9 @@ operands, shifts and adds to find the raw, and range-checks a raw the memo
 has not seen.
 
 `term_codes` holds the table's per-code siblings, derived from it and cached
-beside it: the signs in float32, each code's reach and greedy value, and the
-shifts it uses. A layer build gathers each from them once per weight code
-instead of making a pass per shift plane.
+beside it: each code's reach and greedy value, and the shifts it uses. A
+layer build gathers each, and the signs of the shifts in use, once per weight
+code instead of making a pass per shift plane.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AllZeroError, DomainError, RangeError, integer
+from .errors import AllZeroError, DomainError, RangeError, integer, real, reals
 
 __all__ = [
     "FxPFormat",
@@ -126,10 +126,9 @@ class FxPValue:
 
 
 def encode(value: float, fmt: FxPFormat) -> FxPValue:
-    """Round-to-nearest-even encode. Out-of-range input is an error, never
-    saturation."""
-    if not np.isfinite(value):
-        raise RangeError(f"cannot encode non-finite value {value}")
+    """Round-to-nearest-even encode of a finite real (`errors.real`).
+    Out-of-range input is a `RangeError`, never saturation."""
+    value = real(value, "value to encode", RangeError)
     if value < fmt.min_value or value > fmt.max_value:
         raise RangeError(
             f"{value} outside representable range "
@@ -158,9 +157,10 @@ def mn_normalize(weights, fmt: FxPFormat = FXP8):
 
     Returns (scale, normalized) with weights == scale * normalized. The scale
     carries one LSB of relative headroom: the largest normalized magnitude
-    lands exactly on 1 - 2**-F, the top representable value of `fmt`.
+    lands exactly on 1 - 2**-F, the top representable value of `fmt`. The
+    weights are an array of finite reals (`errors.reals`).
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = reals(weights, "weights")
     max_abs = float(np.max(np.abs(w))) if w.size else 0.0
     if max_abs == 0.0:
         raise AllZeroError("cannot normalize an all-zero weight set")
@@ -312,7 +312,6 @@ class TermCodes:
     """Per-code siblings of `term_table(fmt, t)`, indexed like its columns
     (at raw - fmt.raw_min), read-only and shared:
 
-    - `signs`: the table in float32, which holds its +-1, 0 and NaN exactly;
     - `reach`: sum_m 2**(F-m) |sign_m|, the largest magnitude the code's
       terms take over the operand codes x, sum_m sign_m (x >> m);
     - `value`: sum_m sign_m 2**-m, the code's greedy PoT approximation;
@@ -322,7 +321,6 @@ class TermCodes:
     and every shift bit set.
     """
 
-    signs: np.ndarray
     reach: np.ndarray
     value: np.ndarray
     shifts: np.ndarray
@@ -346,7 +344,7 @@ def _term_codes(fmt: FxPFormat, t: int) -> TermCodes:
         reach += 2.0 ** (f - m) * np.abs(sign)
         value += sign * 2.0 ** -m
         shifts |= (sign != 0).astype(np.uint32) << m
-    codes = TermCodes(table.astype(np.float32), reach, value, shifts)
+    codes = TermCodes(reach, value, shifts)
     for a in vars(codes).values():
         a.flags.writeable = False
     return codes

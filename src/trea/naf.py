@@ -26,10 +26,12 @@ stays the oracle the tests hold the table to.
 Every function here is pure: the table only caches what the CORDIC returns,
 and the pipeline itself is a timing model (piso_latency), not a stateful
 object. The three units are array-valued (suffix ``_vec``) and each owns its
-output rescale (round-half-even) and saturation below one.
-`activate_raw_vec` is the one place the select is decoded, and the scalar
-`apply` and `af_*` are one-element views of it, so they cannot disagree with
-the batched path. `trea.net`'s layer boundary calls it once per prepared
+output rescale (round-half-even) and saturation below one. Their raws are an
+array of integers that int64 holds (`errors.integers`), and each
+fractional-bit count an integer in 1..31, as an `FxPFormat`'s is
+(`_frac_bits`). `activate_raw_vec` is the one place the select is decoded,
+and the scalar `apply` and `af_*` are one-element views of it, so they
+cannot disagree with the batched path. `trea.net`'s layer boundary calls it once per prepared
 layer, to fill that layer's table of boundary codes per accumulator code,
 which inference reads; QAT's passes call it on their accumulators.
 
@@ -48,7 +50,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import InvalidSelect, integer
+from .errors import DomainError, InvalidSelect, integer, integers
 from .fxp import FxPValue
 
 __all__ = [
@@ -137,9 +139,17 @@ def _rescale_round_even_vec(raw, from_f, to_f):
     return q
 
 
+def _frac_bits(value, what) -> int:
+    """`value` as a fractional-bit count, an integer in 1..31 as any
+    `FxPFormat`'s is; anything else raises `DomainError` naming `what`."""
+    if not 1 <= integer(value, what) <= 31:
+        raise DomainError(f"{what} must be in 1..31, got {value!r}")
+    return int(value)
+
+
 def _to_internal_vec(raw, frac_bits):
     """`raw` as int64 codes at the internal scale; may be `raw` itself."""
-    raw = np.asarray(raw, dtype=np.int64)
+    raw = integers(raw, "raw")
     if frac_bits < INTERNAL_FRAC_BITS:
         return raw << (INTERNAL_FRAC_BITS - frac_bits)
     if frac_bits > INTERNAL_FRAC_BITS:
@@ -226,7 +236,7 @@ def saturation_threshold(frac_bits: int) -> float:
     """Smallest input whose true tanh rounds to the top code of an output
     format with `frac_bits` fractional bits (derived from the oracle, not
     hard-coded)."""
-    return math.atanh(1.0 - 2.0 ** -(frac_bits + 1))
+    return math.atanh(1.0 - 2.0 ** -(_frac_bits(frac_bits, "frac_bits") + 1))
 
 
 def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
@@ -235,9 +245,9 @@ def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     (`_to_internal_vec`; sigmoid reads it at 17 bits on the forward path, so
     truncating toward zero would move its scores), so at 20 bits raws -1 and
     1 give -112 and 0."""
-    z = _to_internal_vec(raw, in_frac_bits)
+    z = _to_internal_vec(raw, _frac_bits(in_frac_bits, "in_frac_bits"))
+    sat = round(saturation_threshold(out_frac_bits) * _ONE)   # checks out_frac_bits
     top = (1 << out_frac_bits) - 1
-    sat = round(saturation_threshold(out_frac_bits) * _ONE)
     # the output is odd, so the unit works on |z| (unsigned, so that -2**63,
     # which has no positive twin, saturates) and restores the sign last.
     # Codes at or past sat are pinned at top, so clamping them there reads no
@@ -253,7 +263,8 @@ def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
 def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point sigmoid via (1 + tanh(x/2)) / 2; the halving
     is exact at the internal scale."""
-    t = _tanh_lookup_vec(_to_internal_vec(raw, in_frac_bits + 1))
+    out_frac_bits = _frac_bits(out_frac_bits, "out_frac_bits")
+    t = _tanh_lookup_vec(_to_internal_vec(raw, _frac_bits(in_frac_bits, "in_frac_bits") + 1))
     # 1 + tanh is the sigmoid at one extra fractional bit
     out = _rescale_round_even_vec(_ONE + t, INTERNAL_FRAC_BITS + 1, out_frac_bits)
     return np.clip(out, 0, (1 << out_frac_bits) - 1)
@@ -261,8 +272,9 @@ def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
 
 def relu_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point ReLU, rounded half-even and saturated below one."""
-    out = _rescale_round_even_vec(np.maximum(np.asarray(raw, dtype=np.int64), 0),
-                                  in_frac_bits, out_frac_bits)
+    out_frac_bits = _frac_bits(out_frac_bits, "out_frac_bits")
+    out = _rescale_round_even_vec(np.maximum(integers(raw, "raw"), 0),
+                                  _frac_bits(in_frac_bits, "in_frac_bits"), out_frac_bits)
     return np.minimum(out, (1 << out_frac_bits) - 1)
 
 

@@ -32,7 +32,7 @@ layer's (out, S*K) sign matrix, its S shift planes side by side, by the S
 shifted copies of the operand rows, for one frame or a chunk of a batch
 alike. It runs once `_check_overflow` has passed its rows (in `_accumulate`
 on QAT's passes, in `_boundary_rows` on inference), and the sign matrix,
-which `_build_quant_layer` gathers from `fxp.term_codes` and whose per-shift
+which `_build_quant_layer` gathers from `fxp.term_table` and whose per-shift
 views are the planes, is the only encoding of a layer's weights. Each
 descriptor keeps its last prepared layer (`_prepare_layer`), keyed on the
 identity of its sealed arrays and mask and on its scalars, so nothing needs
@@ -87,9 +87,11 @@ from .errors import (
     ShapeMismatch,
     TreaError,
     integer,
+    integers,
     real,
+    reals,
 )
-from .fxp import FXP8, FxPFormat, term_codes
+from .fxp import FXP8, FxPFormat, term_codes, term_table
 from .mac import MacMode, accumulator_width
 from .naf import AfSelect
 
@@ -133,38 +135,40 @@ def _seal(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
-def _sealed(value, dtype, name="array") -> np.ndarray:
-    """`value` as a sealed `dtype` array: kept if it already is one, so
+def _sealed(value: np.ndarray) -> np.ndarray:
+    """The array `value` sealed: kept if it already is a sealed array, so
     sealed arrays are shared, and otherwise copied, so the caller's array
-    stays writable. What numpy cannot convert (a str, a ragged list) raises
-    `DomainError` naming `name`."""
-    base = getattr(value, "base", None)
-    if (isinstance(base, np.ndarray) and value.dtype == dtype and base.flags.owndata
+    stays writable."""
+    base = value.base
+    if (isinstance(base, np.ndarray) and base.flags.owndata
             and not (value.flags.writeable or base.flags.writeable)):
         return value
-    try:
-        return _seal(np.array(value, dtype=dtype))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be an array of numbers: {exc}") from exc
+    return _seal(np.array(value))
 
 
 @dataclass(frozen=True)
 class SparsityMask:
-    """Sealed boolean retention flags plus the exact per-window retained
-    count, a Python int >= 0 (built by `trea.sharp`'s pruning and by
-    `load_model`). A conv mask keeps exactly `retained_per_window` weights in
-    every kernel window, the count the cycle accounting charges."""
+    """Sealed boolean retention flags, a bool array of one dimension or
+    more, plus the exact per-window retained count, a Python int >= 0 (built
+    by `trea.sharp`'s pruning and by `load_model`). A conv mask keeps exactly
+    `retained_per_window` weights in every kernel window, the count the
+    cycle accounting charges."""
 
     flags: np.ndarray
     retained_per_window: int
 
     def __post_init__(self):
         retained = integer(self.retained_per_window, "retained_per_window", 0)
-        flags = _sealed(self.flags, bool, "flags")   # masks are frozen once built
+        try:
+            flags = np.asarray(self.flags)
+        except ValueError as exc:   # a ragged list
+            raise DomainError(f"flags must be an array of bools: {exc}") from None
         if flags.ndim == 0:
             raise ShapeMismatch(f"flags must be an array of one dimension or more, "
                                 f"got {self.flags!r}")
-        object.__setattr__(self, "flags", flags)
+        if flags.dtype != bool:   # a truthy 0.5, NaN or "False" is no kept weight
+            raise DomainError(f"flags must be a bool array, got dtype {flags.dtype}")
+        object.__setattr__(self, "flags", _sealed(flags))   # masks are frozen once built
         object.__setattr__(self, "retained_per_window", retained)
         if flags.ndim == 4 and np.any(flags.sum(axis=(2, 3)) != retained):
             raise ShapeMismatch(
@@ -190,8 +194,9 @@ class LayerDescriptor:
     dataclass `__init__` runs field by field, so construction and assignment
     check alike, and a rejected value raises a `TreaError` and is not stored.
     The rules are also the model file's schema (see `load_model`). `weights`
-    and `bias` are sealed float64 arrays (`_sealed`), changed only by
-    assignment and shared by `copy()`; the weights keep their first shape."""
+    and `bias` are sealed float64 arrays (`errors.reals`, then `_sealed`),
+    changed only by assignment and shared by `copy()`; the weights keep
+    their first shape."""
 
     kind: str                      # "conv2d" | "dense"
     activation: AfSelect
@@ -219,7 +224,7 @@ class LayerDescriptor:
             if not isinstance(value, MacMode):
                 raise DomainError(f"precision must be a MacMode, got {value!r}")
         elif name in ("weights", "bias"):
-            value = _sealed(value, np.float64, name)
+            value = _sealed(reals(value, name))
             if name == "weights" and "weights" not in held:
                 _check_ndim(held["kind"], value)
             kept = held.get("weights", value).shape   # the weights' shape, once set
@@ -227,8 +232,6 @@ class LayerDescriptor:
             if value.shape != kept:
                 raise ShapeMismatch(f"{name} must keep the layer's shape {kept}, "
                                     f"got {value.shape}")
-            if not np.isfinite(value).all():
-                raise DomainError(f"{name} must be finite")
         elif name == "mn_scale":   # O(1): QAT assigns the scale every step
             value = real(value, "mn_scale")
             if value <= 0:
@@ -662,7 +665,7 @@ def _af_deriv_from_output(sel: AfSelect, a):
 
 
 def _check_input(model, x):
-    x = np.asarray(x, dtype=np.float64)
+    x = reals(x, "input")
     single = x.ndim == 3
     if single:
         x = x[None]
@@ -670,10 +673,20 @@ def _check_input(model, x):
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} != model input {model.input_shape}"
         )
-    # the ufunc's own reduce: `.all()` adds Python frames per call
-    if not np.logical_and.reduce(np.isfinite(x), axis=None):
-        raise DomainError("input contains NaN or infinity")
     return x, single
+
+
+def _labels(y, frames, classes):
+    """`y` as int64 labels (`errors.integers`), one per frame
+    (`ShapeMismatch`) and each a class index in [0, classes) (`DomainError`)."""
+    y = integers(y, "labels").ravel()
+    if len(y) != frames:
+        raise ShapeMismatch(f"{len(y)} labels for {frames} frames")
+    # as uint64 a negative label is past every class count, so the largest
+    # checks both ends
+    if np.maximum.reduce(y.view(np.uint64), initial=0) >= classes:
+        raise DomainError(f"labels must be class indices in [0, {classes})")
+    return y
 
 
 def _float_pass(model: NetworkDescriptor, x, with_cache: bool = False):
@@ -697,7 +710,7 @@ def _float_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         wmat = layer.masked_weights().reshape(layer.out_channels, -1)
         z = cols @ wmat.T + layer.bias
         a = _af_float(layer.activation, z)
-        caches.append(dict(cols=cols, z=z, a=a, wmat=wmat, in_shape=act.shape))
+        caches.append(dict(cols=cols, a=a, wmat=wmat, in_shape=act.shape))
         act = _fold(a, layer, hw)
     return z, act, caches
 
@@ -797,7 +810,7 @@ def _backward(model, caches, logits, labels, lr):
         # model it cost ~5% of a backward pass
         vars(layer).update(weights=_seal(w), bias=_seal(layer.bias - lr * gb))
         if drows is not None:
-            delta = _unfold(drows, caches[idx - 1]["z"].shape)
+            delta = _unfold(drows, caches[idx - 1]["a"].shape)
     if not math.isfinite(loss):
         raise DivergenceError(f"loss became non-finite: {loss}")
     return loss
@@ -814,8 +827,9 @@ def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
             raise DomainError(f"unknown architecture preset {arch!r}")
         arch = desk_arch(dataset.classes)
     model = build_network(arch, input_shape, seed, name=name)
-    _check_input(model, dataset.train_x)
-    for x, y in _minibatches(dataset, epochs, lr, seed):
+    xs, _ = _check_input(model, dataset.train_x)
+    ys = _labels(dataset.train_y, len(xs), model.layers[-1].out_channels)
+    for x, y in _minibatches(replace(dataset, train_x=xs, train_y=ys), epochs, lr, seed):
         logits, _, caches = _float_pass(model, x, with_cache=True)
         _backward(model, caches, logits, y, lr)
     for layer in model.layers:
@@ -831,7 +845,7 @@ def _sat_encode_raw(values, fmt: FxPFormat, dtype=np.int64):
     """Round-to-nearest-even then saturate into the format's raw range, as
     `dtype` codes. Boundary requantization clips instead of erroring;
     maximum then minimum clip as `np.clip` does, without its Python frames."""
-    raw = np.asarray(values, dtype=np.float64) * (1 << fmt.frac_bits)
+    raw = values * (1 << fmt.frac_bits)
     # in place: fresh temporaries cost page faults on large batches
     np.rint(raw, out=raw)
     np.maximum(raw, fmt.raw_min, out=raw)
@@ -919,7 +933,8 @@ def _build_quant_layer(layer: LayerDescriptor):
     # column), so its (S, out, K) temporary is a quarter of the signs' size,
     # and skips the bounds check ("clip"), since the takes above made it.
     dtype = np.float64 if reach.max() >= _F32_EXACT else np.float32   # see `_accumulate`
-    signs = tables.signs[shifts].astype(np.int8).take(codes, axis=1, mode="clip")
+    signs = term_table(fmt, layer.precision.terms)[shifts].astype(np.int8)
+    signs = signs.take(codes, axis=1, mode="clip")
     signs = _seal(signs.transpose(1, 0, 2).astype(dtype, order="C"))
     planes = tuple((m, signs[:, i]) for i, m in enumerate(shifts))
     bias_raw = np.rint(bias_n * (1 << f)).astype(np.int64)
@@ -932,7 +947,7 @@ def _build_quant_layer(layer: LayerDescriptor):
     # range still reads as huge
     bound = np.abs(bias_raw.astype(np.float64)) + reach
     # `flatnonzero` views a writable array, so `_sealed` copies it
-    suspect = _sealed(np.flatnonzero(bound > lim - 1), np.intp)
+    suspect = _sealed(np.flatnonzero(bound > lim - 1))
     # the screen clears the others, and `_check_overflow` holds the suspects
     # inside the limit
     acc_bound = math.ceil(min(float(bound.max()), lim))
@@ -1110,7 +1125,6 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
             approx = term_codes(fmt, layer.precision.terms).value.take(codes)
             caches.append(dict(
                 cols=cols.astype(np.float64) * fmt.lsb,
-                z=pre_true,
                 a=bound_raw.astype(np.float64) * BOUNDARY_FMT.lsb,
                 wmat=approx * layer.mn_scale,
                 in_shape=x_raw.shape,
@@ -1146,9 +1160,7 @@ def forward_quant(model: NetworkDescriptor, x):
 
 def _accuracy(scores, y) -> float:
     scores = scores.reshape(-1, scores.shape[-1])   # one (C, H, W) frame is a batch of one
-    y = np.reshape(y, -1)
-    if len(y) != len(scores):
-        raise ShapeMismatch(f"{len(y)} labels for {len(scores)} frames")
+    y = _labels(y, len(scores), scores.shape[-1])
     if not len(scores):
         raise DomainError("accuracy of an empty test set is undefined")
     return float((scores.argmax(axis=1) == y).mean())
@@ -1172,7 +1184,8 @@ def qat_finetune(model: NetworkDescriptor, dataset: Dataset, epochs: int, lr: fl
     only; masks and precision assignments are untouched. mn scales refresh
     after every step so encoded weights stay in range.
     """
-    for x, y in _minibatches(dataset, epochs, lr, seed):
+    ys = _labels(dataset.train_y, len(dataset.train_x), model.layers[-1].out_channels)
+    for x, y in _minibatches(replace(dataset, train_y=ys), epochs, lr, seed):
         logits, _, caches = _quant_pass(model, x, with_cache=True)
         _backward(model, caches, logits, y, lr)
         for layer in model.layers:

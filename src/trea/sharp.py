@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as _net
-from .errors import DomainError, KernelTooSmall, ShapeMismatch, integer, real
+from .errors import DomainError, KernelTooSmall, ShapeMismatch, integer, real, reals
 from .mac import MacMode, kernel_cycles
 from .net import SparsityMask
 
@@ -66,15 +66,6 @@ def retained_count(k_h: int, k_w: int) -> int:
     return 4 * (n // 8)
 
 
-def _float_array(value, name):
-    """`value` as a float64 array; what numpy cannot convert (a str, a
-    ragged list) raises `DomainError` naming `name`."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be an array of numbers: {exc}") from exc
-
-
 def _top_flags(windows: np.ndarray, r: int) -> np.ndarray:
     """Flags of the r largest |w| in each row of the 2-D `windows`: one
     stable sort per row, so ties go to the lowest index."""
@@ -87,7 +78,7 @@ def _top_flags(windows: np.ndarray, r: int) -> np.ndarray:
 def prune_kernel(window, r: int) -> SparsityMask:
     """Magnitude mask over one kernel window: flags the r largest |w|,
     breaking ties toward the lowest linear index."""
-    w = _float_array(window, "window")
+    w = reals(window, "window")
     r = integer(r, "retained count", 0)
     if r > w.size:
         raise DomainError(f"cannot retain {r} of {w.size} weights")
@@ -98,7 +89,7 @@ def prune_conv_weights(weights: np.ndarray) -> SparsityMask:
     """Per-window mask for a (out, in, k_h, k_w) tensor, every window ranked
     at once; other shapes raise `ShapeMismatch`. Windows smaller than the
     retention rule allows (e.g. 1x1) are left dense."""
-    w = _float_array(weights, "weights")
+    w = reals(weights, "weights")
     if w.ndim != 4:
         raise ShapeMismatch(f"conv weights must be (out, in, k_h, k_w), got shape {w.shape}")
     k_h, k_w = w.shape[2:]

@@ -143,6 +143,12 @@ class TestCheck:
         assert not ok
         assert any("violations" in m for m in msgs)
 
+    def test_a_wrong_golden_is_a_fail_line(self, monkeypatch):
+        monkeypatch.setattr(cli, "accumulator_width", lambda n_bits, k: 11)
+        ok, msgs = cli.run_verification()
+        assert not ok
+        assert "FAIL accumulator_width(8,4): got 11, want 10" in msgs
+
     def test_mutation_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli.fxp, "potq_multiply",

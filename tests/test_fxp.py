@@ -465,8 +465,6 @@ CODE_DEPTHS = TABLE_DEPTHS + [(FxPFormat(6, 4), t) for t in (1, 4, 9)]
 def test_term_codes_are_the_tables_per_code_sums(fmt, t):
     table, codes = term_table(fmt, t), term_codes(fmt, t)
     f = fmt.frac_bits
-    assert codes.signs.dtype == np.float32
-    np.testing.assert_array_equal(codes.signs, table)
     for i, raw in enumerate(range(fmt.raw_min, fmt.raw_max + 1)):
         col = table[:, i]
         if np.isnan(col).any():   # a code past 2**F: no expansion, every bit set
@@ -489,7 +487,7 @@ def test_term_codes_are_cached_per_depth_and_read_only(fmt):
     assert term_codes(fmt, 3) is codes
     # clamped as term_table is: every depth past F+1 shares one set
     assert term_codes(fmt, fmt.frac_bits + 1) is term_codes(fmt, 40)
-    for a in (codes.signs, codes.reach, codes.value, codes.shifts):
+    for a in (codes.reach, codes.value, codes.shifts):
         with pytest.raises(ValueError):
             a[0] = 0
     with pytest.raises(DomainError):

@@ -73,6 +73,9 @@ class TestMacStep:
         with pytest.raises(AccumulatorOverflow):
             mac_step(FxPValue(127, FXP8), term, acc)
 
+    def test_value_is_the_raw_at_the_operand_scale(self):
+        assert Accumulator(-12, 10, FXP8).value == -12 * 2.0 ** -7
+
     def test_add_past_the_width_overflows(self):
         assert Accumulator(30, 6, FXP4).add(1).raw == 31
         for raw, delta in ((30, 2), (-30, -3), (0, 1 << 40)):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -29,6 +31,12 @@ class TestFormulas:
     def test_zero_luts(self):
         assert nfpci(_platform(l=0)) == 0.0
 
+    @pytest.mark.parametrize("platform", [_platform(l=0, lt=0), _platform(f=0, ft=0)],
+                             ids=["no-luts", "no-ffs"])
+    def test_nfpci_of_an_empty_device_rejected(self, platform):
+        with pytest.raises(DomainError, match="device totals must be positive"):
+            nfpci(platform)
+
     def test_sfil_golden(self):
         assert sfil(1000, 1e6) == 1e-3
 
@@ -46,6 +54,11 @@ class TestFormulas:
     def test_ecpi_zeros(self):
         assert ecpi(0.0, 5.0) == 0.0
         assert ecpi(5.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("power, latency", [(-1.0, 1e-3), (1.0, -1e-3)])
+    def test_ecpi_negative_rejected(self, power, latency):
+        with pytest.raises(DomainError, match="nonnegative"):
+            ecpi(power, latency)
 
 
 class TestPlatformValidation:
@@ -103,6 +116,17 @@ class TestReports:
         assert csv.splitlines() == [
             "workload,config,nFPCI,CPFI,SFIL_us,ECPI_uJ,latency_gain"
         ]
+
+    def test_csv_quotes_a_name_with_a_comma_a_quote_and_a_newline(self):
+        # a model's name is any str its manifest holds
+        name = 'a,b "c"\nd'
+        text = emit_report([build_report(name, "c", 1000, _platform())], fmt="csv")
+        header, row = csv.reader(io.StringIO(text))
+        assert len(header) == len(row) == 7
+        assert row[0] == name and row[3] == "1000"
+        # a plain name keeps its bytes
+        plain = emit_report([build_report("w", "c", 1000, _platform())], fmt="csv")
+        assert plain.splitlines()[1].startswith("w,c,") and '"' not in plain
 
     def test_unknown_format(self):
         with pytest.raises(DomainError):

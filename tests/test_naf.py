@@ -292,6 +292,22 @@ class TestApply:
         assert apply(0, encode(-1.0, FXP8)).raw == 0
         assert apply(2, FxPValue(0, FXP8)).raw == 0
 
+    @pytest.mark.parametrize("in_f, out_f", [(7, 100), (7, -1), (0, 7), (32, 7), (7, 32)])
+    def test_frac_bits_outside_one_to_thirty_one_rejected(self, in_f, out_f):
+        # at 100 output bits the sigmoid of 5/128 read 0, and -1 was a
+        # negative shift count; 1..31 are the counts an FxPFormat can have
+        raw = np.array([5], dtype=np.int64)
+        for sel in AfSelect:
+            with pytest.raises(DomainError, match="frac_bits must be in 1..31"):
+                naf.activate_raw_vec(sel, raw, in_f, out_f)
+            assert naf.activate_raw_vec(sel, raw, 31, 1).shape == (1,)
+
+    @pytest.mark.parametrize("frac_bits", [0, 32, 70])
+    def test_saturation_threshold_needs_one_to_thirty_one_bits(self, frac_bits):
+        # 70 bits raised "math domain error"
+        with pytest.raises(DomainError, match="frac_bits must be in 1..31"):
+            saturation_threshold(frac_bits)
+
     def test_reserved(self):
         with pytest.raises(InvalidSelect):
             apply(3, FxPValue(0, FXP8))

@@ -749,6 +749,7 @@ class TestSerialization:
         ("seed", 1.5),
         pytest.param("input_shape", [1, [12, 12], 12], id="input_shape-ragged"),
         ("weights", math.nan),          # a value in the blob, not the manifest
+        pytest.param("layers", [5], id="layers-entry-not-an-object"),
     ])
     def test_malformed_manifest_is_format_error(self, desk_model, tmp_path, key, value):
         p = tmp_path / "m.tmdl"
@@ -942,10 +943,11 @@ class TestDescriptors:
         ([None], "is not a"),
         (None, "arch must be a list"),
         ([("dense", [("out_features", 2)])], "layer 0: dense params must be a mapping"),
+        ([("pool", dict(size=2))], "layer 0: unknown layer kind 'pool'"),
     ], ids=["empty-conv-then-dense", "conv-after-dense", "kernel-not-a-pair",
             "dense-without-out_features", "dense-without-activation",
             "conv-without-activation", "entry-of-three", "entry-not-a-pair",
-            "arch-not-a-list", "params-not-a-mapping"])
+            "arch-not-a-list", "params-not-a-mapping", "unknown-kind"])
     def test_build_network_rejects_a_misfit_arch(self, arch, match):
         with pytest.raises(ShapeMismatch, match=match):
             net.build_network(arch, (1, 4, 4), seed=1)

@@ -86,6 +86,7 @@ ROWS = [
     _row("term_table", "integer", DomainError, lambda v: fxp.term_table(FXP4, v).tobytes(), 2),
     _row("term_codes", "integer", DomainError,
          lambda v: fxp.term_codes(FXP4, v).value.tobytes(), 2),
+    _row("encode", "real", RangeError, lambda v: fxp.encode(v, FXP8).raw, 0.5),
     _row("PoTTerm.sign", "integer", DomainError, lambda v: fxp.PoTTerm(v, 2).sign, -1),
     _row("PoTTerm.shift", "integer", DomainError, lambda v: fxp.PoTTerm(1, v).shift, 2),
     _row("trunc_shift", "integer", DomainError,
@@ -120,6 +121,19 @@ ROWS = [
          lambda v: _built(input_shape=(1, 3, v)).input_shape[2], 3),
     _row("AfSelect.from_code", "integer", InvalidSelect, AfSelect.from_code, 2),
     _row("piso_latency", "integer", DomainError, naf.piso_latency, 5),
+    # a fractional-bit count is at most 31, the most any FxPFormat has
+    *(_row(f"{unit.__name__}.{side}", "integer", DomainError,
+           lambda v, unit=unit, side=side: unit(
+               np.array([5], dtype=np.int64), *((v, 7) if side == "in_frac_bits" else (7, v))
+           ).tolist(), 7)
+      for unit in (naf.tanh_raw_vec, naf.sigmoid_raw_vec, naf.relu_raw_vec)
+      for side in ("in_frac_bits", "out_frac_bits")),
+    *(_row(f"activate_raw_vec.{side}", "integer", DomainError,
+           lambda v, side=side: naf.activate_raw_vec(
+               AfSelect.SIGMOID, np.array([5], dtype=np.int64),
+               *((v, 7) if side == "in_frac_bits" else (7, v))).tolist(), 7)
+      for side in ("in_frac_bits", "out_frac_bits")),
+    _row("saturation_threshold", "integer", DomainError, naf.saturation_threshold, 7),
     _row("kernel_cycles", "integer", DomainError,
          lambda v: mac.kernel_cycles(v, MacMode.FXP4_SIMD), 9),
     _row("accumulator_width.n_bits", "integer", DomainError,

@@ -148,6 +148,15 @@ class TestTraceExport:
         t = CycleTrace((sched.TraceEvent(5, EventKind.LAYER_DONE, 0, 0),))
         with pytest.raises(DomainError):
             t.validate()
+        late = CycleTrace((sched.TraceEvent(5, EventKind.LAYER_DONE, 0, 0),
+                           sched.TraceEvent(4, EventKind.DNN_DONE, 0, 0)))
+        with pytest.raises(DomainError, match="DnnDone is not stamped at the maximum cycle"):
+            late.validate()
+        swapped = CycleTrace((sched.TraceEvent(2, EventKind.LAYER_DONE, 1, 0),
+                              sched.TraceEvent(3, EventKind.LAYER_DONE, 0, 0),
+                              sched.TraceEvent(4, EventKind.DNN_DONE, 1, 0)))
+        with pytest.raises(DomainError, match="LayerDone stamps decrease in layer order"):
+            swapped.validate()
 
     def test_dnn_done_is_found_once(self):
         events = (sched.TraceEvent(3, EventKind.LAYER_DONE, 0, 0),

@@ -163,6 +163,15 @@ class TestAssignPrecision:
         with pytest.raises(DomainError):
             assign_precision(desk_model, lambda m: 1.0, epsilon=float("nan"))
 
+    def test_modes_that_are_not_a_sequence_rejected(self):
+        with pytest.raises(DomainError, match="modes must be a sequence"):
+            PrecisionAssignment(MacMode.FXP8, 0.01)
+
+    def test_one_mode_per_layer_applied(self, desk_model):
+        assignment = PrecisionAssignment((MacMode.FXP8,) * (len(desk_model.layers) - 1), 0.01)
+        with pytest.raises(DomainError, match=f"2 modes for {len(desk_model.layers)} layers"):
+            sharp.apply_assignment(desk_model, assignment)
+
 
 class TestFineTune:
     def _pruned(self, desk_model):
