@@ -27,7 +27,8 @@ Every function here is pure: the table only caches what the CORDIC returns,
 and the pipeline itself is a timing model (piso_latency), not a stateful
 object. The three units are array-valued (suffix ``_vec``) and each owns its
 output rescale (round-half-even) and saturation below one. Their raws are an
-array of integers that int64 holds (`errors.integers`), and each
+array of integers that int64 holds (`errors.integers`) of any shape, a 0-d raw
+giving a 0-d result (`_elementwise`), and each
 fractional-bit count an integer in 1..31, as an `FxPFormat`'s is
 (`_frac_bits`). `activate_raw_vec` is the one place the select is decoded,
 and the scalar `apply` and `af_*` are one-element views of it, so they
@@ -45,6 +46,7 @@ over FxP8 inputs, which the acceptance suite checks, holds for both.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import IntEnum
 
@@ -148,8 +150,7 @@ def _frac_bits(value, what) -> int:
 
 
 def _to_internal_vec(raw, frac_bits):
-    """`raw` as int64 codes at the internal scale; may be `raw` itself."""
-    raw = integers(raw, "raw")
+    """int64 codes `raw` at the internal scale; may be `raw` itself."""
     if frac_bits < INTERNAL_FRAC_BITS:
         return raw << (INTERNAL_FRAC_BITS - frac_bits)
     if frac_bits > INTERNAL_FRAC_BITS:
@@ -239,6 +240,21 @@ def saturation_threshold(frac_bits: int) -> float:
     return math.atanh(1.0 - 2.0 ** -(_frac_bits(frac_bits, "frac_bits") + 1))
 
 
+def _elementwise(unit):
+    """`unit` over raws of any shape, read here through `errors.integers`
+    (the units take int64 arrays): a 0-d raw runs as its one-element array
+    and comes back a 0-d int64 array, since numpy's shifts and reduces turn
+    a 0-d array into a scalar, which `out=` refuses."""
+    @functools.wraps(unit)
+    def run(raw, in_frac_bits: int, out_frac_bits: int):
+        raw = integers(raw, "raw")
+        if raw.ndim:
+            return unit(raw, in_frac_bits, out_frac_bits)
+        return unit(raw.reshape(1), in_frac_bits, out_frac_bits).reshape(())
+    return run
+
+
+@_elementwise
 def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point tanh on raw integers; odd-symmetric for inputs
     with at most 16 fractional bits. Finer inputs are floored to 16 bits
@@ -260,6 +276,7 @@ def tanh_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     return out
 
 
+@_elementwise
 def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point sigmoid via (1 + tanh(x/2)) / 2; the halving
     is exact at the internal scale."""
@@ -270,10 +287,11 @@ def sigmoid_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     return np.clip(out, 0, (1 << out_frac_bits) - 1)
 
 
+@_elementwise
 def relu_raw_vec(raw, in_frac_bits: int, out_frac_bits: int):
     """Elementwise fixed-point ReLU, rounded half-even and saturated below one."""
     out_frac_bits = _frac_bits(out_frac_bits, "out_frac_bits")
-    out = _rescale_round_even_vec(np.maximum(integers(raw, "raw"), 0),
+    out = _rescale_round_even_vec(np.maximum(raw, 0),
                                   _frac_bits(in_frac_bits, "in_frac_bits"), out_frac_bits)
     return np.minimum(out, (1 << out_frac_bits) - 1)
 

@@ -16,24 +16,33 @@ BOUNDARY_FMT (FxP8) codes, held as int8 from the model-input encode to the
 last layer's scores, every activation runs through `naf`'s one 9-stage
 pipeline, and both training loops walk one seeded order of minibatches of 16
 (`_minibatches`), with `_backward` raising `DivergenceError` on a non-finite
-loss. Both forward paths are one layer walk: `_layer_rows` lays a layer's
-input out as operand rows (im2col patches for conv, flattened rows for
-dense), one dot product per row and output channel gives the
-pre-activations, and `_fold` lays the activations out as the next layer's
-input. `_backward` walks the layers in reverse through the inverses:
+loss. The float pass is a frame-major layer walk: `_layer_rows` lays a
+layer's (B, ...) input out as operand rows (im2col patches for conv,
+flattened rows for dense), one dot product per row and output channel gives
+the pre-activations, and `_fold` lays the activations out as the next
+layer's input. `_backward` walks the layers in reverse through the inverses:
 `_unfold` undoes `_fold`, and `_col2im` undoes a conv layer's `_layer_rows`
 through the same patch index. `_pads` is the one padding rule, and
 `_layer_out_shape` the one shape rule: a layer's output shape for one
 frame's input shape, or `ShapeMismatch` at a misfit, which the network's
 shape chain (`_layer_shapes`), both passes and `build_network` read.
 
-The quantized accumulate is one kernel, `_kernel`: a single matmul of the
-layer's (out, S*K) sign matrix, its S shift planes side by side, by the S
-shifted copies of the operand rows, for one frame or a chunk of a batch
-alike. It runs once `_check_overflow` has passed its rows (in `_accumulate`
-on QAT's passes, in `_boundary_rows` on inference), and the sign matrix,
-which `_build_quant_layer` gathers from `fxp.term_table` and whose per-shift
-views are the planes, is the only encoding of a layer's weights. Each
+The quantized pass holds its int8 activations feature-major, (features,
+frames), as the accelerator hands a layer's outputs to the next layer's
+operand buffer without re-laying them out: the model input is encoded
+straight into (C*H*W, B) (`_encode_input`), a conv layer gathers its (K, P*B)
+operands along axis 0 through `_operand_index`, with a zero row for "same"
+padding, and a layer's (out, N) codes are the next layer's input as they
+stand (`_operands`). Its accumulate is one kernel, `_kernel`: a single
+matmul of the layer's (out, S*K) sign matrix, its S shift planes side by
+side, by the S shifted copies of the (K, N) operands, for one frame or a
+chunk of a batch alike. It runs once `_check_overflow` has passed its
+operands (in `_sums` on QAT's passes, in `_boundary_codes` on inference;
+`_accumulate` and `_boundary_rows` are their (..., K)-row forms), and the
+sign matrix, which `_build_quant_layer` gathers from `fxp.term_table` and
+whose per-shift views are the planes, is the only encoding of a layer's
+weights. QAT lays its caches out frame-major only for `_backward`
+(`_frame_major`). Each
 descriptor keeps its last prepared layer (`_prepare_layer`), keyed on the
 identity of its sealed arrays and mask and on its scalars, so nothing needs
 invalidating, with a table of the boundary chain over every accumulator code
@@ -45,14 +54,17 @@ Inference holds no training caches and works in pieces of at most
 _PIECE_OPERANDS operands wherever a piece cannot move a bit. The float pass
 makes each layer's activations in its matmul's output, in place, with the
 IEEE operations of the training pass in the same order, and runs conv
-layers a block of frames at a time into the next layer's input: a stacked
-(B, P, K) @ (K, out) matmul is one GEMM per frame, so its bits do not depend
-on the block. A dense layer's (B, K) @ (K, out) is one GEMM whose rounding
-depends on B (blocks of 1 frame changed 84,751 of the 98,304 hidden
-pre-activations of 2048 frames on the README model), so it stays one
-whole-batch matmul. The integer pass builds a layer's whole int8 rows and checks them
-for overflow at once, then runs the kernel and the table read a chunk of
-rows at a time; its sums are exact, so any chunking gives the same codes.
+layers a block of frames at a time: a stacked (out, K) @ (B, K, P) matmul
+writes each block as (B, out, P) into the next layer's input, one GEMM per
+frame, so its bits do not depend on the block, and it rounds as the
+training pass's (B, P, K) @ (K, out). A dense layer's (B, K) @ (K, out) is
+one GEMM whose rounding depends on B (blocks of 1 frame changed 84,751 of
+the 98,304 hidden pre-activations of 2048 frames on the README model), so
+it stays one whole-batch matmul. The integer pass encodes the model input a
+chunk of frames at a time, builds a layer's whole int8 operands and checks
+them for overflow at once, then runs the kernel and the table read a chunk
+of columns at a time; its sums are exact, so any chunking gives the same
+codes.
 
 Each descriptor field has one rule, in its class's `__setattr__` (a frozen
 `SparsityMask` checks in `__post_init__`), which construction and every
@@ -597,7 +609,7 @@ def _im2col(x, kh, kw, stride, padding):
     idx, ho, wo = _patch_index(c, h, w, kh, kw, stride)
     # an explicit row size: reshape(0, -1) cannot infer it for an empty batch.
     # `take` returns C order; x[:, idx] puts the batch axis innermost, which
-    # costs a copy in `_accumulate` and moves the float matmul's rounding
+    # moves the float matmul's rounding
     return x.reshape(b, c * h * w).take(idx, axis=1), ho, wo
 
 
@@ -697,11 +709,11 @@ def _float_pass(model: NetworkDescriptor, x, with_cache: bool = False):
     if not with_cache:
         act = x
         for layer in model.layers:
-            wmat_t = layer.masked_weights().reshape(layer.out_channels, -1).T
+            wmat = layer.masked_weights().reshape(layer.out_channels, -1)
             if layer.kind == "dense":
-                act = _float_rows(layer, _layer_rows(layer, act)[0], wmat_t)
+                act = _float_rows(layer, _layer_rows(layer, act)[0], wmat.T)
             else:
-                act = _float_conv(layer, act, wmat_t)
+                act = _float_conv(layer, act, wmat)
         return None, act, None
     caches = []
     act = x
@@ -723,30 +735,35 @@ def _float_rows(layer: LayerDescriptor, rows, wmat_t):
     return _af_float(layer.activation, z, out=z)
 
 
-def _float_conv(layer: LayerDescriptor, act, wmat_t):
+def _float_conv(layer: LayerDescriptor, act, wmat):
     """The conv layer's folded activations of `act`, a block of frames at a
     time: the patches of at most _PIECE_OPERANDS operands (one frame if it
-    has more) live at once, and each block's output goes straight into the
-    next layer's input. A stacked matmul is one GEMM per frame, so the bits
-    do not depend on the block."""
+    has more) live at once, and each block's (b, out, P) matmul writes
+    straight into the next layer's input, where the bias and the activation
+    then run in place. A stacked matmul is one GEMM per frame, so the bits
+    do not depend on the block, and W @ cols.T rounds as the training pass's
+    cols @ W.T (`test_conv_orientation_rounds_as_the_training_pass`)."""
     _, ho, wo = _layer_out_shape(layer, act.shape[1:])
     kh, kw = layer.weights.shape[2:]
-    step = max(1, _PIECE_OPERANDS // (ho * wo * len(wmat_t)))
+    step = max(1, _PIECE_OPERANDS // (ho * wo * wmat.shape[1]))
     out = np.empty((len(act), layer.out_channels, ho, wo))
+    bias = layer.bias[:, None]
     for lo in range(0, len(act), step):
         cols, _, _ = _im2col(act[lo:lo + step], kh, kw, layer.stride, layer.padding)
-        a = _float_rows(layer, cols, wmat_t)
-        block = out[lo:lo + step].reshape(len(a), layer.out_channels, ho * wo)
-        block[...] = a.transpose(0, 2, 1)   # `_fold`, into a view of `out`
+        block = out[lo:lo + step].reshape(len(cols), layer.out_channels, ho * wo)
+        np.matmul(wmat, cols.transpose(0, 2, 1), out=block)
+        block += bias
+        _af_float(layer.activation, block, out=block)
     return out
 
 
 def forward_float(model: NetworkDescriptor, x):
     """Double-precision reference forward pass; returns post-activation
-    scores of the last layer (pre-softmax). It holds a conv layer's float64
-    outputs and the next layer's, 2.0 KB a frame on the README model
-    (tracemalloc), plus one block of conv patches (about 1 MB); see the
-    module docstring."""
+    scores of the last layer (pre-softmax). A conv layer's matmul writes
+    each block of frames straight into the layer's float64 outputs, so the
+    pass holds those and the next layer's, 2.0 KB a frame on the README
+    model (tracemalloc), plus one block of conv patches (about 1 MB); see
+    the module docstring."""
     xb, single = _check_input(model, x)
     _, scores, _ = _float_pass(model, xb)
     return scores[0] if single else scores
@@ -821,13 +838,13 @@ def train_reference(arch, dataset: Dataset, epochs: int, lr: float, seed: int,
     """Seeded float SGD with softmax cross-entropy on the last layer's
     pre-activations. epochs=0 returns the seeded initialization with
     normalization metadata only."""
-    input_shape = dataset.train_x.shape[1:]
+    xs = reals(dataset.train_x, "input")
     if isinstance(arch, str):
         if arch != "desk":
             raise DomainError(f"unknown architecture preset {arch!r}")
         arch = desk_arch(dataset.classes)
-    model = build_network(arch, input_shape, seed, name=name)
-    xs, _ = _check_input(model, dataset.train_x)
+    model = build_network(arch, xs.shape[1:], seed, name=name)
+    xs, _ = _check_input(model, xs)
     ys = _labels(dataset.train_y, len(xs), model.layers[-1].out_channels)
     for x, y in _minibatches(replace(dataset, train_x=xs, train_y=ys), epochs, lr, seed):
         logits, _, caches = _float_pass(model, x, with_cache=True)
@@ -885,6 +902,7 @@ class _QuantLayer:
     suspect: np.ndarray            # outputs whose prefix sums the screen cannot clear
     acc_bound: int                 # R: no accumulator that passes the check leaves [-R, R]
     boundary: np.ndarray | None = None  # int8 boundary code of acc at acc + R (prepared only)
+    preload: np.ndarray | None = None   # (out, 1) int64 bias + R, the table index (prepared only)
 
 
 def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
@@ -900,6 +918,7 @@ def _prepare_layer(layer: LayerDescriptor) -> _QuantLayer:
         return memo[4]
     q, _ = _build_quant_layer(layer)
     q.boundary = _boundary_table(layer, q.acc_bound)
+    q.preload = _seal(q.bias_raw[:, None] + q.acc_bound)
     layer._prepared = (scalars, layer.weights, layer.bias, layer.mask, q)
     return q
 
@@ -959,12 +978,13 @@ def _build_quant_layer(layer: LayerDescriptor):
 
 def _accumulate(q: _QuantLayer, x_raw_mat):
     """Shift-and-add dot products for all outputs: x_raw_mat is (..., K)
-    codes of the layer's format, int8 on the forward pass; returns int64
-    accumulators (..., out).
+    codes of the layer's format, one dot product per row; returns int64
+    accumulators (..., out). `_sums` over the rows' transpose: the pass
+    itself holds its operands feature-major.
 
     Shift-plane form: grouping every weight's PoT terms by shift m gives the
     signed term matrices C_m, and the accumulator is
-    bias + sum_m (x >> m) @ C_m.T. The shift is per operand with floor
+    bias + sum_m C_m @ (x >> m). The shift is per operand with floor
     semantics, so each partial product is truncated before it is added, as
     the DQ-MAC does. `_kernel` runs all S shifts in use as one matmul, as the
     DQ-MAC runs a window's terms in one pass: the (out, S*K) sign matrix
@@ -984,63 +1004,68 @@ def _accumulate(q: _QuantLayer, x_raw_mat):
     bias-then-operand-then-term order leaves the range; see
     `_check_overflow`.
     """
-    x = x_raw_mat.reshape(-1, x_raw_mat.shape[-1])
+    acc = _sums(q, x_raw_mat.reshape(-1, x_raw_mat.shape[-1]).T)
+    return acc.T.copy().reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
+
+
+def _sums(q: _QuantLayer, x):
+    """The (out, N) int64 accumulators of the (K, N) operands `x`, one dot
+    product per column, once `_check_overflow` has passed them."""
     _check_overflow(q, x)
-    return _kernel(q, x).reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
+    return _kernel(q, x, q.bias_raw[:, None])
 
 
-def _kernel(q: _QuantLayer, x):
-    """`_accumulate`'s shift-plane sums of the (N, K) rows `x`, unchecked:
-    the caller has run `_check_overflow` over them. One matmul of the sign
-    matrix and the (S, K, N) shifted operands, whatever N and S are (an
-    empty batch, or no shift in use, is a matmul with nothing to sum); the
-    (out, N) product is read back into C-order (N, out) accumulators."""
-    shifted = (np.ascontiguousarray(x.T) >> q.shifts).astype(q.signs.dtype)
-    # signs on the left: OpenBLAS took about twice as long over QAT's 16 rows
-    # of the README model's hidden layer as (N, S*K) @ (S*K, out)
-    total = q.signs @ shifted.reshape(q.signs.shape[1], len(x))
-    acc = total.T.astype(np.int64, order="C")
-    acc += q.bias_raw
+def _kernel(q: _QuantLayer, x, preload):
+    """`_accumulate`'s shift-plane sums of the (K, N) operands `x` plus the
+    (out, 1) int64 column `preload`, as (out, N) int64, unchecked: the caller
+    has run `_check_overflow` over them. One matmul of the sign matrix and
+    the (S, K, N) shifted operands, whatever N and S are (an empty batch, or
+    no shift in use, is a matmul with nothing to sum)."""
+    shifted = (x >> q.shifts).astype(q.signs.dtype)
+    # signs on the left: OpenBLAS took about twice as long over QAT's 16
+    # columns of the README model's hidden layer as (N, S*K) @ (S*K, out)
+    total = q.signs @ shifted.reshape(q.signs.shape[1], x.shape[1])
+    acc = total.astype(np.int64)
+    acc += preload
     return acc
 
 
-def _boundary_rows(q: _QuantLayer, x_raw_mat):
-    """The prepared layer's int8 boundary codes (..., out) of the operand
-    rows x_raw_mat (..., K): `_accumulate`, then the table read. The
-    overflow check runs once over every row, so it stops at the same
-    (output, operand); the kernel and the table then run on chunks of at
-    most _PIECE_OPERANDS codes (one row if it has more), and rows that fit
-    in one chunk run as one, with no copy."""
-    x = x_raw_mat.reshape(-1, x_raw_mat.shape[-1])
+def _boundary_codes(q: _QuantLayer, x):
+    """The prepared layer's int8 boundary codes (out, N) of the (K, N)
+    operands `x`: the kernel with the table index `q.preload` as its
+    preload, then the table read. The overflow check runs once over every
+    column, so it stops at the same (output, operand); the kernel and the
+    table then run on chunks of at most _PIECE_OPERANDS operands (one column
+    if it has more), and columns that fit in one chunk run as one."""
     _check_overflow(q, x)
+    step = max(1, _PIECE_OPERANDS // len(x))
+    if x.shape[1] <= step:
+        return q.boundary.take(_kernel(q, x, q.preload))
+    out = np.empty((q.out_channels, x.shape[1]), dtype=np.int8)
+    for lo in range(0, x.shape[1], step):
+        out[:, lo:lo + step] = q.boundary.take(_kernel(q, x[:, lo:lo + step], q.preload))
+    return out
 
-    def codes(rows):
-        acc = _kernel(q, rows)
-        acc += q.acc_bound                 # in place: the table index
-        return q.boundary[acc]
 
-    step = max(1, _PIECE_OPERANDS // x.shape[1])
-    if len(x) <= step:
-        out = codes(x)
-    else:
-        out = np.empty((len(x), q.out_channels), dtype=np.int8)
-        for lo in range(0, len(x), step):
-            out[lo:lo + step] = codes(x[lo:lo + step])
-    return out.reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
+def _boundary_rows(q: _QuantLayer, x_raw_mat):
+    """`_boundary_codes` of operand rows x_raw_mat (..., K), as (..., out)
+    codes: `_accumulate`, then the table read."""
+    codes = _boundary_codes(q, x_raw_mat.reshape(-1, x_raw_mat.shape[-1]).T)
+    return codes.T.copy().reshape(x_raw_mat.shape[:-1] + (q.out_channels,))
 
 
 def _check_overflow(q: _QuantLayer, x):
     """Raise `AccumulatorOverflow` if any prefix sum of any output leaves
     [-acc_limit, acc_limit - 1] when the accumulator takes the bias, then each
     operand j in order, then its terms in MSD order. x holds codes of the
-    layer's format, one row per dot product.
+    layer's format, (K, N): operand j of every dot product in row j.
 
     Only the outputs `_prepare_layer` could not clear are checked, first
     output first. Greedy PoT terms all carry their weight's sign and every
     `x >> m` carries x's sign, so the prefix sums within one operand move one
     way: some prefix leaves the range exactly when a sum at an operand
     boundary, bias + sum_{i <= j} p_i with p_i = sum_m C_m[o, i] (x_i >> m),
-    does. The first column j where any row leaves it is the add the
+    does. The first row j where any column leaves it is the add the
     hardware stops at.
     """
     if not (len(q.suspect) and x.size):   # the screen cleared every output
@@ -1049,13 +1074,13 @@ def _check_overflow(q: _QuantLayer, x):
     for o in q.suspect:
         where = "bias"
         if -lim <= q.bias_raw[o] <= lim - 1:
-            p = sum(((x >> m) * c[o].astype(np.int64) for m, c in q.planes),
+            p = sum(((x >> m) * c[o, :, None].astype(np.int64) for m, c in q.planes),
                     np.zeros(x.shape, dtype=np.int64))
-            out = np.cumsum(p, axis=1) + q.bias_raw[o]
-            cols = np.flatnonzero(((out > lim - 1) | (out < -lim)).any(axis=0))
-            if not cols.size:
+            out = np.cumsum(p, axis=0) + q.bias_raw[o]
+            rows = np.flatnonzero(((out > lim - 1) | (out < -lim)).any(axis=1))
+            if not rows.size:
                 continue
-            where = int(cols[0])
+            where = int(rows[0])
         raise AccumulatorOverflow(
             f"accumulator left [{-lim}, {lim - 1}] (output {o}, operand {where})"
         )
@@ -1096,15 +1121,81 @@ def _boundary_table(layer: LayerDescriptor, r: int):
     return _seal(table)
 
 
+@functools.lru_cache(maxsize=64)
+def _operand_index(c, h, w, kh, kw, stride, padding):
+    """A conv layer's operands in its feature-major (C*H*W, B) input: the
+    read-only (K, P) intp index of operand k of patch p, in `_im2col`'s
+    (column, row) order, and whether it reads a zero row at index C*H*W,
+    where a "same" layer's padded positions point."""
+    (pt, pb), (pl, pr) = _pads(h, kh, stride, padding), _pads(w, kw, stride, padding)
+    hp, wp = h + pt + pb, w + pl + pr
+    flat = np.full((c, hp, wp), c * h * w, dtype=np.intp)
+    flat[:, pt:pt + h, pl:pl + w] = np.arange(c * h * w).reshape(c, h, w)
+    idx = flat.reshape(-1).take(_patch_index(c, hp, wp, kh, kw, stride)[0].T)
+    idx.setflags(write=False)
+    return idx, (hp, wp) != (h, w)
+
+
+def _operands(layer: LayerDescriptor, act, in_shape):
+    """The layer's (K, N) operands of a feature-major (C*H*W, B) input of
+    (C, H, W) frames, or (K, B) features for dense, one dot product per
+    column: a conv layer's N = P*B columns run patch-major, so its (out, N)
+    outputs are the next layer's (out*P, B) input as they stand."""
+    if layer.kind == "dense":
+        return act
+    idx, padded = _operand_index(*in_shape, *layer.weights.shape[2:], layer.stride,
+                                 layer.padding)
+    if padded:
+        act = np.concatenate((act, np.zeros((1, act.shape[1]), dtype=act.dtype)))
+    return act.take(idx, axis=0).reshape(len(idx), idx.shape[1] * act.shape[1])
+
+
+def _encode_input(xb, fmt: FxPFormat):
+    """The (B, C, H, W) model input as feature-major (C*H*W, B) int8 codes at
+    operand format `fmt`: saturated into BOUNDARY_FMT (the model input is a
+    boundary) and requantized into `fmt`, a chunk of frames at a time, so
+    the float64 and intp temporaries stay one chunk big."""
+    rows = xb.reshape(len(xb), math.prod(xb.shape[1:]))
+    out = np.empty(rows.shape[::-1], dtype=np.int8)
+    step = max(1, _PIECE_OPERANDS // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        out[:, lo:lo + step] = _requant(
+            _sat_encode_raw(rows[lo:lo + step], BOUNDARY_FMT, np.int8), fmt).T
+    return out
+
+
+def _requant(codes, fmt: FxPFormat):
+    """Boundary codes as codes of operand format `fmt`: the layer-entry
+    requantization, a read of `_requant_table` unless the formats agree."""
+    if BOUNDARY_FMT.frac_bits == fmt.frac_bits:
+        return codes
+    return _requant_table(fmt).take(codes.view(np.uint8))
+
+
+def _frame_major(a, lead, scale=None):
+    """A feature-major (n, P*B) or (n, B) array of the pass in `_backward`'s
+    layout, `lead` + (n,) with `lead` (B, P) or (B,): a C-contiguous float64
+    copy, times `scale` if given. einsum's and BLAS's summation orders follow
+    memory layout, so `_backward`'s updates keep their bits only on caches
+    in this layout."""
+    out = a.reshape(len(a), *lead[::-1]).T.astype(np.float64, order="C")
+    if scale is not None:
+        out *= scale
+    return out
+
+
 def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
     """(last layer's pre-activations, scores, caches); the pre-activations and
-    caches are None unless `with_cache`."""
+    caches are None unless `with_cache`. Activations are int8 codes held
+    feature-major between layers, (features, frames): a layer's K operands
+    by its N dot products, and the (out, N) codes it makes are the next
+    layer's input (see `_operands`)."""
     xb, single = _check_input(model, x)
-    # the model input is a boundary: activations are int8 codes between layers
-    act_raw = _sat_encode_raw(xb, BOUNDARY_FMT, np.int8)
+    frames, shape = len(xb), model.input_shape
+    act = _encode_input(xb, model.layers[0].precision.fmt)
     pre_true = None
     caches = [] if with_cache else None
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers):
         # QAT changes every layer between passes and reads no boundary
         # table: a memo would only hold the last step's planes while the next
         # are built, which costs page faults
@@ -1113,27 +1204,28 @@ def _quant_pass(model: NetworkDescriptor, x, with_cache: bool = False):
         else:
             q = _prepare_layer(layer)
         fmt = layer.precision.fmt
-        # layer-entry requantization into the mode's operand format
-        if BOUNDARY_FMT.frac_bits == fmt.frac_bits:
-            x_raw = act_raw
-        else:
-            x_raw = _requant_table(fmt).take(act_raw.view(np.uint8))
-        cols, hw = _layer_rows(layer, x_raw)
+        if i:   # the model input's requantization ran in its encode
+            act = _requant(act, fmt)
+        out_shape = _layer_out_shape(layer, shape)
+        ops = _operands(layer, act, shape)
         if with_cache:
-            pre_true, bound_raw = _boundary_chain(layer, _accumulate(q, cols))
+            # `_backward`'s rows: (B, P) patches for conv, (B,) for dense
+            lead = (frames,) if layer.kind == "dense" else (frames, math.prod(out_shape[1:]))
+            pre, bound = _boundary_chain(layer, _sums(q, ops))
             # the PoT-approximated weights: each code's greedy value, exact
             approx = term_codes(fmt, layer.precision.terms).value.take(codes)
             caches.append(dict(
-                cols=cols.astype(np.float64) * fmt.lsb,
-                a=bound_raw.astype(np.float64) * BOUNDARY_FMT.lsb,
+                cols=_frame_major(ops, lead, fmt.lsb),
+                a=_frame_major(bound, lead, BOUNDARY_FMT.lsb),
                 wmat=approx * layer.mn_scale,
-                in_shape=x_raw.shape,
+                in_shape=(frames, *shape),
             ))
-            bound_raw = bound_raw.astype(np.int8)
+            pre_true = _frame_major(pre, lead)
+            bound = bound.astype(np.int8)
         else:
-            bound_raw = _boundary_rows(q, cols)
-        act_raw = _fold(bound_raw, layer, hw)
-    scores = _DECODE.take(act_raw.view(np.uint8))
+            bound = _boundary_codes(q, ops)
+        act, shape = bound.reshape(math.prod(out_shape), frames), out_shape
+    scores = _DECODE.take(act.T.view(np.uint8)).reshape(frames, *shape)
     if single:
         scores = scores[0]
     return pre_true, scores, caches
@@ -1148,11 +1240,11 @@ def forward_quant(model: NetworkDescriptor, x):
     pushed through the CORDIC activation unit, then requantized at the layer
     boundary; that boundary is read from each prepared layer's table.
 
-    It holds each layer's int8 operand rows and codes; the kernel's shifted
-    float operands and int64 accumulators live one chunk at a time. About
-    1.4 KB a frame on the bench's mixed README model (tracemalloc), most of
-    it the float64 and index temporaries of the model input's encode and
-    first requantization.
+    It holds each layer's int8 operands and codes, feature-major; the model
+    input's float64 encode, the kernel's shifted float operands and its
+    int64 accumulators live one chunk at a time. About 0.4 KB a frame on the
+    bench's mixed README model (tracemalloc), most of it the conv layer's
+    operands and codes.
     """
     _, scores, _ = _quant_pass(model, x)
     return scores
@@ -1184,8 +1276,9 @@ def qat_finetune(model: NetworkDescriptor, dataset: Dataset, epochs: int, lr: fl
     only; masks and precision assignments are untouched. mn scales refresh
     after every step so encoded weights stay in range.
     """
-    ys = _labels(dataset.train_y, len(dataset.train_x), model.layers[-1].out_channels)
-    for x, y in _minibatches(replace(dataset, train_y=ys), epochs, lr, seed):
+    xs, _ = _check_input(model, dataset.train_x)
+    ys = _labels(dataset.train_y, len(xs), model.layers[-1].out_channels)
+    for x, y in _minibatches(replace(dataset, train_x=xs, train_y=ys), epochs, lr, seed):
         logits, _, caches = _quant_pass(model, x, with_cache=True)
         _backward(model, caches, logits, y, lr)
         for layer in model.layers:

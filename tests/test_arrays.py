@@ -86,6 +86,10 @@ ROWS = [
     _row("evaluate_quant.y", "labels", lambda v: net.evaluate_quant(_MODEL, _X, v)),
     _row("evaluate_float.x", "reals", lambda v: net.evaluate_float(_MODEL, v, _Y)),
     _row("evaluate_float.y", "labels", lambda v: net.evaluate_float(_MODEL, _X, v)),
+    _row("train_reference.x", "reals",
+         lambda v: net.train_reference(_ARCH, replace(_DATA, train_x=v), 1, 0.05, 0)),
+    _row("qat_finetune.x", "reals",
+         lambda v: net.qat_finetune(_MODEL.copy(), replace(_DATA, train_x=v), 1, 0.05, 0)),
     _row("train_reference.labels", "labels",
          lambda v: net.train_reference(_ARCH, replace(_DATA, train_y=v), 1, 0.05, 0)),
     _row("qat_finetune.labels", "labels",
@@ -182,6 +186,37 @@ def test_labels_are_one_class_index_per_frame(call):
     # a list or an int32 array of class indices is read as int64 labels
     call([CLASSES - 1])
     call(np.array([CLASSES - 1], dtype=np.int32))
+
+
+UNITS = [naf.tanh_raw_vec, naf.sigmoid_raw_vec, naf.relu_raw_vec,
+         *(lambda raw, fi, fo, sel=sel: naf.activate_raw_vec(sel, raw, fi, fo)
+           for sel in AfSelect)]
+
+
+@pytest.mark.parametrize("unit", UNITS, ids=["tanh", "sigmoid", "relu",
+                                             *(f"activate.{s.name}" for s in AfSelect)])
+@pytest.mark.parametrize("raw", [5, -300, np.int32(7), np.array(-2), np.array(2 ** 40)])
+def test_a_0d_raw_gives_a_0d_int64_array(unit, raw):
+    # a 0-d raw raised TypeError through tanh and sigmoid, and ReLU gave a
+    # numpy scalar
+    got = unit(raw, 8, 8)
+    assert type(got) is np.ndarray and got.dtype == np.int64 and got.shape == ()
+    assert got == unit([raw], 8, 8)[0]
+
+
+@pytest.mark.parametrize("loop", ["train_reference", "qat_finetune"])
+def test_train_x_as_a_list_trains_as_its_array(loop):
+    # a list's `.shape` and the minibatches' index arrays raised
+    # AttributeError and TypeError; both loops read it through one rule
+    def run(x):
+        data = replace(_DATA, train_x=x)
+        if loop == "train_reference":
+            return net.train_reference(_ARCH, data, 2, 0.05, 0)
+        return net.qat_finetune(_MODEL.copy(), data, 2, 0.05, 0)
+    want, got = run(_DATA.train_x), run(_DATA.train_x.tolist())
+    for a, b in zip(want.layers, got.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
 
 
 def test_mask_flags_are_a_bool_array():

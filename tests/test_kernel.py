@@ -639,9 +639,9 @@ def test_operands_reach_the_kernel_as_int8(seed, monkeypatch):
     dtypes = []
     kernel = net._kernel   # the shift-plane body both passes run
 
-    def spy(q, rows):
+    def spy(q, rows, preload):
         dtypes.append(rows.dtype)
-        return kernel(q, rows)
+        return kernel(q, rows, preload)
 
     monkeypatch.setattr(net, "_kernel", spy)
     net._quant_pass(model, xs)
